@@ -1,7 +1,7 @@
 //! CHARM — the prior state-of-the-art Versal accelerator — as a [`Backend`].
 
 use crate::backend::{unsupported, Backend, EvalError};
-use crate::report::EvalReport;
+use crate::report::{intern, EvalReport};
 use crate::workload::WorkloadSpec;
 use rsn_baseline::charm::CharmModel;
 use rsn_workloads::models::ModelConfig;
@@ -43,7 +43,7 @@ impl Backend for CharmBackend {
     }
 
     fn evaluate(&self, workload: &WorkloadSpec) -> Result<EvalReport, EvalError> {
-        let mut report = EvalReport::new(self.name(), workload.name());
+        let mut report = EvalReport::new(intern(self.name()), workload.name());
         match workload {
             WorkloadSpec::EncoderLayer { cfg } => {
                 let latency = self.model.encoder_latency_s(cfg);

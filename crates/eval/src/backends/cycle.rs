@@ -8,7 +8,7 @@
 //! rather than silently taking hours.
 
 use crate::backend::{unsupported, Backend, EvalError};
-use crate::report::{BreakdownRow, CycleStats, EvalReport, SegmentMetric};
+use crate::report::{intern, BreakdownRow, CycleStats, EvalReport, SegmentMetric};
 use crate::workload::WorkloadSpec;
 use rsn_core::sim::{RunReport, SchedulerKind};
 use rsn_hw::versal::Vck190Spec;
@@ -130,7 +130,7 @@ impl Backend for CycleEngineBackend {
     }
 
     fn evaluate(&self, workload: &WorkloadSpec) -> Result<EvalReport, EvalError> {
-        let mut report = EvalReport::new(self.name(), workload.name());
+        let mut report = EvalReport::new(intern(self.name()), workload.name());
         match workload {
             WorkloadSpec::EncoderLayer { cfg } => {
                 if cfg.tokens() * cfg.hidden > MAX_ACTIVATION_ELEMENTS {
@@ -152,7 +152,7 @@ impl Backend for CycleEngineBackend {
                     .segment_reports()
                     .iter()
                     .map(|(name, r)| SegmentMetric {
-                        name: std::sync::Arc::from(name.as_str()),
+                        name: intern(name),
                         latency_s: r.makespan_cycles() as f64 / Vck190Spec::new().pl_clock_hz,
                         compute_s: 0.0,
                         ddr_s: 0.0,
@@ -162,9 +162,9 @@ impl Backend for CycleEngineBackend {
                     .collect();
                 report
                     .metrics
-                    .insert("mme_flops", host.machine().total_mme_flops() as f64);
+                    .insert(intern("mme_flops"), host.machine().total_mme_flops() as f64);
                 report.metrics.insert(
-                    "ddr_traffic_bytes",
+                    intern("ddr_traffic_bytes"),
                     host.machine().ddr_traffic_bytes() as f64,
                 );
                 let stats = self.stats_from_reports(
@@ -202,7 +202,7 @@ impl Backend for CycleEngineBackend {
                     .max_abs_diff(&expected);
                 report
                     .metrics
-                    .insert("mme_flops", machine.total_mme_flops() as f64);
+                    .insert(intern("mme_flops"), machine.total_mme_flops() as f64);
                 let stats = self.stats_from_reports(std::iter::once(&run), Some(f64::from(err)));
                 self.finish(&mut report, stats);
             }
@@ -239,9 +239,10 @@ impl Backend for CycleEngineBackend {
                     .ddr_matrix(4)
                     .expect("output allocated")
                     .max_abs_diff(&reference);
-                report
-                    .metrics
-                    .insert("ddr_traffic_bytes", machine.ddr_traffic_bytes() as f64);
+                report.metrics.insert(
+                    intern("ddr_traffic_bytes"),
+                    machine.ddr_traffic_bytes() as f64,
+                );
                 let stats = self.stats_from_reports(std::iter::once(&run), Some(f64::from(err)));
                 self.finish(&mut report, stats);
             }
@@ -293,38 +294,38 @@ impl Backend for CycleEngineBackend {
                     .per_type
                     .iter()
                     .map(|row| BreakdownRow {
-                        name: std::sync::Arc::from(row.fu_type.as_str()),
+                        name: intern(&row.fu_type),
                         values: vec![
-                            ("rsn_packets".into(), row.rsn_packets as f64),
-                            ("rsn_bytes".into(), row.rsn_bytes as f64),
-                            ("expanded_uops".into(), row.expanded_uops as f64),
-                            ("uop_bytes".into(), row.uop_bytes as f64),
-                            ("compression".into(), row.compression_ratio()),
+                            (intern("rsn_packets"), row.rsn_packets as f64),
+                            (intern("rsn_bytes"), row.rsn_bytes as f64),
+                            (intern("expanded_uops"), row.expanded_uops as f64),
+                            (intern("uop_bytes"), row.uop_bytes as f64),
+                            (intern("compression"), row.compression_ratio()),
                         ],
                     })
                     .collect();
                 let flops = 2.0 * (*m as f64) * (*k as f64) * (*n as f64);
                 report
                     .metrics
-                    .insert("overall_compression", stats.overall_compression());
+                    .insert(intern("overall_compression"), stats.overall_compression());
                 report.metrics.insert(
-                    "flops_per_instruction_byte",
+                    intern("flops_per_instruction_byte"),
                     stats.flops_per_instruction_byte(flops),
                 );
                 report
                     .metrics
-                    .insert("total_rsn_bytes", stats.total_rsn_bytes() as f64);
+                    .insert(intern("total_rsn_bytes"), stats.total_rsn_bytes() as f64);
             }
             WorkloadSpec::DatapathProperties => {
                 report.breakdown = XnnDatapath::fu_properties()
                     .iter()
                     .map(|p| BreakdownRow {
-                        name: std::sync::Arc::from(p.fu_type.as_str()),
+                        name: intern(&p.fu_type),
                         values: vec![
-                            ("instances".into(), p.instances as f64),
-                            ("tflops".into(), p.tflops),
-                            ("memory_mb".into(), p.memory_mb),
-                            ("bandwidth_gb_s".into(), p.bandwidth_gb_s),
+                            (intern("instances"), p.instances as f64),
+                            (intern("tflops"), p.tflops),
+                            (intern("memory_mb"), p.memory_mb),
+                            (intern("bandwidth_gb_s"), p.bandwidth_gb_s),
                         ],
                     })
                     .collect();

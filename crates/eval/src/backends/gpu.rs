@@ -1,7 +1,7 @@
 //! The Table 10 GPU datasheet models as [`Backend`]s, one per device.
 
 use crate::backend::{unsupported, Backend, EvalError};
-use crate::report::EvalReport;
+use crate::report::{intern, EvalReport};
 use crate::workload::WorkloadSpec;
 use rsn_baseline::gpu::estimate;
 use rsn_hw::gpu::{GpuModel, GpuSpec};
@@ -37,16 +37,18 @@ impl GpuBackend {
         report.throughput_tasks_per_s = Some(cfg.batch as f64 / latency);
         report
             .metrics
-            .insert("estimated_latency_s", est.estimated_latency_s);
+            .insert(intern("estimated_latency_s"), est.estimated_latency_s);
         if let Some(published) = est.published_latency_s {
-            report.metrics.insert("published_latency_s", published);
+            report
+                .metrics
+                .insert(intern("published_latency_s"), published);
         }
         report
             .metrics
-            .insert("operating_seq_per_j", est.operating_seq_per_j);
+            .insert(intern("operating_seq_per_j"), est.operating_seq_per_j);
         report
             .metrics
-            .insert("dynamic_seq_per_j", est.dynamic_seq_per_j);
+            .insert(intern("dynamic_seq_per_j"), est.dynamic_seq_per_j);
     }
 }
 
@@ -63,7 +65,7 @@ impl Backend for GpuBackend {
     }
 
     fn evaluate(&self, workload: &WorkloadSpec) -> Result<EvalReport, EvalError> {
-        let mut report = EvalReport::new(self.name(), workload.name());
+        let mut report = EvalReport::new(intern(self.name()), workload.name());
         match workload {
             WorkloadSpec::FullModel { cfg } => self.fill(&mut report, cfg),
             WorkloadSpec::EncoderLayer { cfg } => {

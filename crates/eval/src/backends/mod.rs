@@ -39,3 +39,39 @@ pub fn default_backends() -> Vec<Box<dyn Backend>> {
     backends.push(Box::new(RooflineBackend::new()));
     backends
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::WorkloadSpec;
+    use std::sync::Arc;
+
+    #[test]
+    fn reports_of_one_backend_share_their_labels() {
+        // Labels go through the thread's interner, so a stream of reports
+        // holds one copy of each backend name and metric key, not one per
+        // report.
+        let specs = [
+            WorkloadSpec::SquareGemm { n: 256 },
+            WorkloadSpec::SquareGemm { n: 512 },
+        ];
+        let backends: [Box<dyn Backend>; 3] = [
+            Box::new(XnnAnalyticBackend::new()),
+            Box::new(CharmBackend::new()),
+            Box::new(RooflineBackend::new()),
+        ];
+        for backend in &backends {
+            let [a, b] = specs.each_ref().map(|spec| backend.evaluate(spec).unwrap());
+            assert_eq!(&*a.backend, backend.name());
+            assert!(Arc::ptr_eq(&a.backend, &b.backend), "{}", backend.name());
+            assert_eq!(a.metrics.len(), b.metrics.len());
+            for (ka, kb) in a.metrics.keys().zip(b.metrics.keys()) {
+                assert!(Arc::ptr_eq(ka, kb), "{}: key {ka}", backend.name());
+            }
+        }
+        let xnn = XnnAnalyticBackend::new().evaluate(&specs[0]).unwrap();
+        assert!(xnn.metric("bandwidth_scale").is_some());
+        let roofline = RooflineBackend::new().evaluate(&specs[0]).unwrap();
+        assert!(roofline.metric("compute_bound").is_some());
+    }
+}

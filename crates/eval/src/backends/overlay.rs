@@ -12,7 +12,7 @@
 //!   register hazard the stream datapath avoids by construction.
 
 use crate::backend::{unsupported, Backend, EvalError};
-use crate::report::EvalReport;
+use crate::report::{intern, EvalReport};
 use crate::workload::WorkloadSpec;
 use rsn_baseline::overlay::{OverlayInstruction, VectorOverlay};
 use rsn_hw::versal::Vck190Spec;
@@ -56,7 +56,7 @@ impl Backend for OverlayBackend {
     }
 
     fn evaluate(&self, workload: &WorkloadSpec) -> Result<EvalReport, EvalError> {
-        let mut report = EvalReport::new(self.name(), workload.name());
+        let mut report = EvalReport::new(intern(self.name()), workload.name());
         let opts = OptimizationFlags::none();
         match workload {
             WorkloadSpec::EncoderLayer { cfg } => {
@@ -99,14 +99,16 @@ impl Backend for OverlayBackend {
                 overlay.execute(&program);
                 let clock = Vck190Spec::new().pl_clock_hz;
                 report.latency_s = Some(overlay.cycles() as f64 / clock);
-                report.metrics.insert("cycles", overlay.cycles() as f64);
                 report
                     .metrics
-                    .insert("stall_cycles", overlay.stall_cycles() as f64);
+                    .insert(intern("cycles"), overlay.cycles() as f64);
+                report
+                    .metrics
+                    .insert(intern("stall_cycles"), overlay.stall_cycles() as f64);
                 let expected_first = memory_check(&overlay, n);
                 report
                     .metrics
-                    .insert("functional_ok", f64::from(expected_first));
+                    .insert(intern("functional_ok"), f64::from(expected_first));
             }
             _ => return Err(unsupported(self, workload)),
         }

@@ -8,7 +8,7 @@
 //! which makes it the sanity floor of comparison tables.
 
 use crate::backend::{unsupported, Backend, EvalError};
-use crate::report::EvalReport;
+use crate::report::{intern, EvalReport};
 use crate::workload::WorkloadSpec;
 use rsn_hw::roofline::RooflineEstimate;
 use rsn_hw::versal::Vck190Spec;
@@ -46,11 +46,15 @@ impl RooflineBackend {
         );
         report.latency_s = Some(est.latency_s());
         report.achieved_flops = Some(flops / est.latency_s());
-        report.metrics.insert("compute_time_s", est.compute_time_s);
-        report.metrics.insert("memory_time_s", est.memory_time_s);
         report
             .metrics
-            .insert("compute_bound", f64::from(est.is_compute_bound()));
+            .insert(intern("compute_time_s"), est.compute_time_s);
+        report
+            .metrics
+            .insert(intern("memory_time_s"), est.memory_time_s);
+        report
+            .metrics
+            .insert(intern("compute_bound"), f64::from(est.is_compute_bound()));
     }
 }
 
@@ -76,7 +80,7 @@ impl Backend for RooflineBackend {
     }
 
     fn evaluate(&self, workload: &WorkloadSpec) -> Result<EvalReport, EvalError> {
-        let mut report = EvalReport::new(self.name(), workload.name());
+        let mut report = EvalReport::new(intern(self.name()), workload.name());
         match workload {
             WorkloadSpec::EncoderLayer { cfg } => {
                 self.bound(&mut report, cfg.encoder_flops(), Self::encoder_bytes(cfg));

@@ -1,7 +1,7 @@
 //! The RSN-XNN analytic timing model as a [`Backend`].
 
 use crate::backend::{unsupported, Backend, EvalError};
-use crate::report::{BreakdownRow, EvalReport, SegmentMetric};
+use crate::report::{intern, BreakdownRow, EvalReport, SegmentMetric};
 use crate::workload::WorkloadSpec;
 use rsn_hw::energy::{ComponentProfile, EnergyModel};
 use rsn_lib::mapping::analyze_attention_mappings;
@@ -76,7 +76,7 @@ impl XnnAnalyticBackend {
         timings
             .iter()
             .map(|t| SegmentMetric {
-                name: std::sync::Arc::from(t.name.as_str()),
+                name: intern(&t.name),
                 latency_s: t.latency_s,
                 compute_s: t.compute_s,
                 ddr_s: t.ddr_s,
@@ -123,17 +123,20 @@ impl XnnAnalyticBackend {
         report.breakdown = rows
             .iter()
             .map(|r| BreakdownRow {
-                name: std::sync::Arc::from(r.name.as_str()),
-                values: vec![("watts".into(), r.watts), ("share".into(), r.watts / total)],
+                name: intern(&r.name),
+                values: vec![
+                    (intern("watts"), r.watts),
+                    (intern("share"), r.watts / total),
+                ],
             })
             .collect();
-        report.metrics.insert("total_watts", total);
+        report.metrics.insert(intern("total_watts"), total);
         report
             .metrics
-            .insert("board_operating_w", energy.board_operating_power_w);
+            .insert(intern("board_operating_w"), energy.board_operating_power_w);
         report
             .metrics
-            .insert("board_dynamic_w", energy.board_dynamic_power_w);
+            .insert(intern("board_dynamic_w"), energy.board_dynamic_power_w);
     }
 }
 
@@ -161,10 +164,10 @@ impl Backend for XnnAnalyticBackend {
     }
 
     fn evaluate(&self, workload: &WorkloadSpec) -> Result<EvalReport, EvalError> {
-        let mut report = EvalReport::new(self.name(), workload.name());
+        let mut report = EvalReport::new(intern(self.name()), workload.name());
         report
             .metrics
-            .insert("bandwidth_scale", self.model.bandwidth_scale());
+            .insert(intern("bandwidth_scale"), self.model.bandwidth_scale());
         match workload {
             WorkloadSpec::EncoderLayer { cfg } => {
                 let latency = self.model.encoder_latency_s(cfg, self.opts);
@@ -185,11 +188,11 @@ impl Backend for XnnAnalyticBackend {
                 let energy = EnergyModel::calibrated();
                 let tasks_per_s = cfg.batch as f64 / latency;
                 report.metrics.insert(
-                    "operating_seq_per_j",
+                    intern("operating_seq_per_j"),
                     energy.operating_efficiency_seq_per_j(tasks_per_s),
                 );
                 report.metrics.insert(
-                    "dynamic_seq_per_j",
+                    intern("dynamic_seq_per_j"),
                     energy.dynamic_efficiency_seq_per_j(tasks_per_s),
                 );
             }
@@ -212,11 +215,15 @@ impl Backend for XnnAnalyticBackend {
                     .find(|r| r.mapping == *mapping)
                     .expect("all four mapping types analysed");
                 report.latency_s = Some(row.final_latency_s);
-                report.metrics.insert("compute_time_s", row.compute_time_s);
-                report.metrics.insert("memory_time_s", row.memory_time_s);
                 report
                     .metrics
-                    .insert("aie_utilization", row.aie_utilization);
+                    .insert(intern("compute_time_s"), row.compute_time_s);
+                report
+                    .metrics
+                    .insert(intern("memory_time_s"), row.memory_time_s);
+                report
+                    .metrics
+                    .insert(intern("aie_utilization"), row.aie_utilization);
             }
             WorkloadSpec::PowerBreakdown => self.power_breakdown(&mut report),
             _ => return Err(unsupported(self, workload)),

@@ -62,6 +62,7 @@
 
 pub mod backend;
 pub mod backends;
+pub mod fnv;
 pub mod report;
 pub mod sweep;
 pub mod workload;

@@ -9,9 +9,84 @@
 //! backend-specific extras (energy efficiency, stall counts, published
 //! reference latencies).
 
+use crate::fnv::FnvBuild;
 use rsn_core::sim::SchedulerKind;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::sync::Arc;
+
+/// Deduplicates the small closed set of backend names, metric keys and
+/// slot names that appear in every report and stats record, handing out a
+/// shared `Arc<str>` instead of a fresh allocation per document — backends
+/// build their labels through it, and wire decoders resolve theirs through
+/// it.  Bounded so a hostile peer streaming unique names cannot grow the
+/// table without limit: once full, lookups still hit for known names and
+/// misses fall back to a fresh one-off `Arc`.
+pub struct Interner {
+    // FNV-keyed: the vocabulary is short human-chosen labels, and the table
+    // is capped, so the cheap hash is safe — see [`crate::fnv`].
+    set: HashSet<Arc<str>, FnvBuild>,
+}
+
+impl Interner {
+    /// Names longer than this are never cached — real backend and workload
+    /// labels are short, and skipping the hash probe for long one-off
+    /// strings keeps the common path cheap.
+    pub const MAX_LEN: usize = 64;
+    /// Upper bound on distinct cached names.
+    const CAP: usize = 256;
+
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self {
+            set: HashSet::default(),
+        }
+    }
+
+    /// Returns a shared copy of `s`, allocating only on first sight.
+    #[inline]
+    pub fn intern(&mut self, s: &str) -> Arc<str> {
+        if s.len() > Self::MAX_LEN {
+            return Arc::from(s);
+        }
+        if let Some(existing) = self.set.get(s) {
+            return Arc::clone(existing);
+        }
+        let fresh: Arc<str> = Arc::from(s);
+        if self.set.len() < Self::CAP {
+            self.set.insert(Arc::clone(&fresh));
+        }
+        fresh
+    }
+}
+
+impl Default for Interner {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+thread_local! {
+    /// Per-thread interning table shared by every report built or decoded
+    /// on the thread — backend workers, pool exchange threads and shard
+    /// connection threads each converge on one long-lived set of label
+    /// `Arc`s.
+    static INTERNER: RefCell<Interner> = RefCell::new(Interner::new());
+}
+
+/// Runs `f` with the thread's interning table borrowed once.  Decoders that
+/// intern several labels per report hoist the TLS access and `RefCell`
+/// borrow out of the per-label path — on a 2048-report burst that is four
+/// fewer TLS round-trips per report.
+pub fn with_interner<T>(f: impl FnOnce(&mut Interner) -> T) -> T {
+    INTERNER.with(|table| f(&mut table.borrow_mut()))
+}
+
+/// The thread's shared copy of one label (see [`Interner`]).
+pub(crate) fn intern(s: &str) -> Arc<str> {
+    with_interner(|names| names.intern(s))
+}
 
 /// Ordered `name → value` map of backend-specific scalars, stored as a
 /// key-sorted vec.  Reports carry a handful of metrics at most, and they
@@ -317,6 +392,25 @@ mod tests {
             repaired.keys().map(|k| &**k).collect::<Vec<_>>(),
             ["alpha", "zeta"]
         );
+    }
+
+    #[test]
+    fn interner_shares_short_labels_and_bounds_its_table() {
+        let mut names = Interner::new();
+        let a = names.intern("rsn-xnn");
+        assert!(Arc::ptr_eq(&a, &names.intern("rsn-xnn")));
+        // Long labels are one-offs: equal content, separate storage.
+        let long = "x".repeat(Interner::MAX_LEN + 1);
+        assert!(!Arc::ptr_eq(&names.intern(&long), &names.intern(&long)));
+        // Past the cap, new labels still come back equal but uncached,
+        // while labels cached before the cap keep hitting.
+        for i in 0..Interner::CAP {
+            names.intern(&format!("label-{i}"));
+        }
+        let late = names.intern("late");
+        assert_eq!(&*late, "late");
+        assert!(!Arc::ptr_eq(&late, &names.intern("late")));
+        assert!(Arc::ptr_eq(&a, &names.intern("rsn-xnn")));
     }
 
     #[test]

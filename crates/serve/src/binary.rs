@@ -39,18 +39,23 @@
 //! `decode(encode(x)) == x` identity for every document type and semantic
 //! equality with the JSON codec.
 
-use crate::fnv::FnvBuild;
 use crate::json::DecodeError;
 use crate::request::Priority;
 use crate::stats::{ClassStats, LatencyHistogram, PoolStats, ServiceStats, ShardStats};
 use crate::wire::{ShardRequest, ShardResponse, SharedResult};
+use rsn_eval::fnv::FnvBuild;
+use rsn_eval::report::with_interner;
 use rsn_eval::{BreakdownRow, CycleStats, Metrics, SegmentMetric};
 use rsn_eval::{EvalError, EvalReport, SchedulerKind, WorkloadSpec};
 use rsn_workloads::bert::BertConfig;
 use rsn_workloads::models::ModelKind;
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
+
+// The label interner lives with the report type, so backends and these
+// decoders hand out the same `Arc`s; re-exported so wire-level callers
+// keep this import path.
+pub use rsn_eval::report::Interner;
 
 /// First byte of every binary payload.  The JSON emitter's documents start
 /// with `{`, `[`, `"`, a digit, `-`, `t`, `f` or `n` — all ASCII — so this
@@ -268,74 +273,6 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Name interning
-// ---------------------------------------------------------------------------
-
-/// Deduplicates the small closed set of backend and slot names that appear
-/// in every report and stats record, handing decoders a shared `Arc<str>`
-/// instead of a fresh allocation per document.  Bounded so a hostile peer
-/// streaming unique names cannot grow the table without limit: once full,
-/// lookups still hit for known names and misses fall back to a fresh
-/// one-off `Arc`.
-pub struct Interner {
-    // FNV-keyed: the vocabulary is short human-chosen labels, and the table
-    // is capped, so the cheap hash is safe — see [`crate::fnv`].
-    set: HashSet<Arc<str>, FnvBuild>,
-}
-
-/// Names longer than this are never cached — real backend and workload
-/// labels are short, and skipping the hash probe for long one-off strings
-/// keeps the common path cheap.
-const INTERN_MAX_LEN: usize = 64;
-/// Upper bound on distinct cached names.
-const INTERN_CAP: usize = 256;
-
-impl Interner {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self {
-            set: HashSet::default(),
-        }
-    }
-
-    /// Returns a shared copy of `s`, allocating only on first sight.
-    pub fn intern(&mut self, s: &str) -> Arc<str> {
-        if s.len() > INTERN_MAX_LEN {
-            return Arc::from(s);
-        }
-        if let Some(existing) = self.set.get(s) {
-            return Arc::clone(existing);
-        }
-        let fresh: Arc<str> = Arc::from(s);
-        if self.set.len() < INTERN_CAP {
-            self.set.insert(Arc::clone(&fresh));
-        }
-        fresh
-    }
-}
-
-impl Default for Interner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-thread_local! {
-    /// Per-thread interning table shared by every decode on the thread —
-    /// pool exchange threads and shard connection threads each converge on
-    /// one long-lived set of name `Arc`s.
-    static INTERNER: RefCell<Interner> = RefCell::new(Interner::new());
-}
-
-/// Runs `f` with the thread's interning table borrowed once.  Decoders that
-/// intern several labels per report hoist the TLS access and `RefCell`
-/// borrow out of the per-label path — on a 2048-report burst that is four
-/// fewer TLS round-trips per report.
-fn with_interner<T>(f: impl FnOnce(&mut Interner) -> T) -> T {
-    INTERNER.with(|table| f(&mut table.borrow_mut()))
-}
-
-// ---------------------------------------------------------------------------
 // Per-connection symbol dictionaries (protocol 7)
 // ---------------------------------------------------------------------------
 
@@ -392,7 +329,7 @@ impl TxSymbols {
         // Long labels are one-offs (same judgement as the interner): a
         // table slot would be wasted on them, and the length check keeps
         // the common short-label path from hashing pathological strings.
-        if label.len() > INTERN_MAX_LEN {
+        if label.len() > Interner::MAX_LEN {
             put_varint(out, DSTR_INLINE);
             put_str(out, label);
             return;

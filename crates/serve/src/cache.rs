@@ -13,23 +13,26 @@
 //! The hot path is allocation-free: specs are stored as
 //! `Arc<WorkloadSpec>` and looked up **by borrow** (`Arc<T>:
 //! Borrow<T>` lets the map hash the spec itself), so neither a hit, nor a
-//! merge, nor a publish clones a spec; reserving a vacant key bumps the
-//! caller's `Arc` refcount.  Results are `Arc`-shared the same way — a hit
+//! merge, nor a publish clones a spec; reserving a vacant key, like
+//! linking a newly completed one onto the recency list, bumps an `Arc`
+//! refcount.  Results are `Arc`-shared the same way — a hit
 //! is two refcount bumps, whatever the report holds.
 //!
 //! With a capacity bound (`ServiceConfig::cache_capacity`), publishing a
 //! result beyond the bound evicts the least-recently-used *completed* entry
-//! (in-flight entries are owed to waiters and never evicted).  Recency is a
-//! monotone tick bumped on every hit, so the policy is true LRU over
-//! completed entries; the eviction scan is `O(entries)`, which is fine for
-//! the few-thousand-entry capacities the service uses and keeps hits
-//! allocation-free.
+//! (in-flight entries are owed to waiters and never evicted).  Completed
+//! entries sit on an intrusive recency list — a slab of doubly linked nodes
+//! indexed from each `Ready` entry — so a hit moves its node to the front
+//! and an eviction pops the tail, both in O(1), with freed nodes reused
+//! by the next insert.  The policy is true LRU over completed entries, and
+//! its cost does not grow with the capacity.
 
-use crate::fnv::FnvBuild;
 use crate::wire::SharedResult;
+use rsn_eval::fnv::FnvBuild;
 use rsn_eval::WorkloadSpec;
 #[cfg(test)]
 use rsn_eval::{EvalError, EvalReport};
+use std::collections::hash_map::Entry as Slot;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -43,11 +46,8 @@ enum Entry<W> {
     /// (including the one that reserved the key).
     InFlight(Vec<W>),
     /// Finished; served to all future lookups without re-evaluating.
-    /// `last_used` is the recency tick of the latest hit (or the insert).
-    Ready {
-        result: CachedResult,
-        last_used: u64,
-    },
+    /// `node` is the entry's slot on the recency list.
+    Ready { result: CachedResult, node: usize },
 }
 
 /// Outcome of [`CacheTxn::lookup_or_reserve`].
@@ -61,57 +61,171 @@ pub(crate) enum Lookup {
     Reserved,
 }
 
+/// End-of-list marker for [`Recency`] links.
+const NIL: usize = usize::MAX;
+
+/// One completed entry's place on the recency list.  A free node keeps
+/// `key: None` and chains the free list through `next`.
+struct Node {
+    prev: usize,
+    next: usize,
+    backend: usize,
+    key: Option<Arc<WorkloadSpec>>,
+}
+
+/// Recency order of the completed entries, most recent at `head`: a slab
+/// of linked nodes with a free list, so linking, touching and unlinking
+/// are O(1) and reuse freed slots instead of allocating.
+struct Recency {
+    nodes: Vec<Node>,
+    head: usize,
+    tail: usize,
+    free: usize,
+}
+
+impl Recency {
+    fn new() -> Self {
+        Self {
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+        }
+    }
+
+    /// Links a node for `(backend, key)` at the front; returns its index.
+    fn push_front(&mut self, backend: usize, key: Arc<WorkloadSpec>) -> usize {
+        let node = Node {
+            prev: NIL,
+            next: NIL,
+            backend,
+            key: Some(key),
+        };
+        let idx = if self.free == NIL {
+            self.nodes.push(node);
+            self.nodes.len() - 1
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx].next;
+            self.nodes[idx] = node;
+            idx
+        };
+        self.link_front(idx);
+        idx
+    }
+
+    /// Moves a linked node to the front (a hit or a replace in place).
+    fn touch(&mut self, idx: usize) {
+        if self.head != idx {
+            self.unlink(idx);
+            self.link_front(idx);
+        }
+    }
+
+    /// Unlinks a node and returns it to the free list, handing back its
+    /// `(backend, key)`.
+    fn remove(&mut self, idx: usize) -> (usize, Arc<WorkloadSpec>) {
+        self.unlink(idx);
+        let node = &mut self.nodes[idx];
+        let key = node.key.take().expect("linked nodes hold a key");
+        node.next = self.free;
+        self.free = idx;
+        (node.backend, key)
+    }
+
+    /// Removes the least recently used node, if any.
+    fn pop_back(&mut self) -> Option<(usize, Arc<WorkloadSpec>)> {
+        (self.tail != NIL).then(|| self.remove(self.tail))
+    }
+
+    fn link_front(&mut self, idx: usize) {
+        self.nodes[idx].prev = NIL;
+        self.nodes[idx].next = self.head;
+        match self.head {
+            NIL => self.tail = idx,
+            head => self.nodes[head].prev = idx,
+        }
+        self.head = idx;
+    }
+
+    fn unlink(&mut self, idx: usize) {
+        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
+        match prev {
+            NIL => self.head = next,
+            prev => self.nodes[prev].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.nodes[next].prev = prev,
+        }
+    }
+}
+
+type Shard<W> = HashMap<Arc<WorkloadSpec>, Entry<W>, FnvBuild>;
+
 struct CacheState<W> {
     /// Per-backend-shard key spaces, indexed by backend and grown lazily.
     /// Splitting by backend keeps the map key a bare `Arc<WorkloadSpec>`,
     /// which is what allows borrowed (clone-free) lookups by `&WorkloadSpec`.
     // FNV-keyed: specs are small integer enums and the map is bounded by
-    // the capacity config, so the cheap hash is safe — see [`crate::fnv`].
-    shards: Vec<HashMap<Arc<WorkloadSpec>, Entry<W>, FnvBuild>>,
+    // the capacity config, so the cheap hash is safe — see
+    // [`rsn_eval::fnv`].
+    shards: Vec<Shard<W>>,
+    /// Completed entries, most recently used first.
+    recency: Recency,
     /// Completed entries resident (in-flight entries do not count toward
     /// the capacity bound).
     ready: usize,
-    /// Monotone recency clock; bumped on every hit and publish.
-    tick: u64,
+}
+
+/// The key space of one backend, grown on first use.
+fn shard_mut<W>(shards: &mut Vec<Shard<W>>, backend: usize) -> &mut Shard<W> {
+    if backend >= shards.len() {
+        shards.resize_with(backend + 1, HashMap::default);
+    }
+    &mut shards[backend]
 }
 
 impl<W> CacheState<W> {
-    fn shard_mut(&mut self, backend: usize) -> &mut HashMap<Arc<WorkloadSpec>, Entry<W>, FnvBuild> {
-        if backend >= self.shards.len() {
-            self.shards.resize_with(backend + 1, HashMap::default);
-        }
-        &mut self.shards[backend]
-    }
-
     /// Inserts (success) or vacates (error) one published key, adjusting the
-    /// ready count, and returns the waiters that were queued on it.  Shared
-    /// by [`ReportCache::complete`] and [`CacheTxn::publish`].
+    /// ready count and the recency list, and returns the waiters that were
+    /// queued on it.  Shared by [`ReportCache::complete`] and
+    /// [`CacheTxn::publish`].
     fn store(&mut self, backend: usize, spec: Arc<WorkloadSpec>, result: CachedResult) -> Vec<W> {
-        self.tick += 1;
-        let tick = self.tick;
-        let ok = result.is_ok();
-        let shard = self.shard_mut(backend);
-        let previous = if ok {
-            shard.insert(
-                spec,
-                Entry::Ready {
-                    result,
-                    last_used: tick,
-                },
-            )
-        } else {
+        let shard = shard_mut(&mut self.shards, backend);
+        if result.is_err() {
             // Borrowed removal: the key hashes through the spec itself.
-            shard.remove(spec.as_ref())
-        };
-        match (&previous, ok) {
-            (Some(Entry::Ready { .. }), true) => {} // replaced in place
-            (Some(Entry::Ready { .. }), false) => self.ready -= 1, // removed
-            (_, true) => self.ready += 1,
-            (_, false) => {}
+            return match shard.remove(spec.as_ref()) {
+                Some(Entry::InFlight(waiters)) => waiters,
+                Some(Entry::Ready { node, .. }) => {
+                    self.recency.remove(node);
+                    self.ready -= 1;
+                    Vec::new()
+                }
+                None => Vec::new(),
+            };
         }
-        match previous {
-            Some(Entry::InFlight(waiters)) => waiters,
-            _ => Vec::new(),
+        match shard.entry(spec) {
+            Slot::Occupied(mut slot) => {
+                if let Entry::Ready { result: old, node } = slot.get_mut() {
+                    // Replaced in place: the entry keeps its node.
+                    *old = result;
+                    self.recency.touch(*node);
+                    return Vec::new();
+                }
+                let node = self.recency.push_front(backend, Arc::clone(slot.key()));
+                self.ready += 1;
+                match slot.insert(Entry::Ready { result, node }) {
+                    Entry::InFlight(waiters) => waiters,
+                    Entry::Ready { .. } => Vec::new(),
+                }
+            }
+            Slot::Vacant(slot) => {
+                let node = self.recency.push_front(backend, Arc::clone(slot.key()));
+                self.ready += 1;
+                slot.insert(Entry::Ready { result, node });
+                Vec::new()
+            }
         }
     }
 
@@ -121,22 +235,11 @@ impl<W> CacheState<W> {
         let Some(capacity) = capacity else { return 0 };
         let mut evicted = 0;
         while self.ready > capacity {
-            let victim = self
-                .shards
-                .iter()
-                .enumerate()
-                .flat_map(|(shard_idx, shard)| {
-                    shard.iter().filter_map(move |(key, entry)| match entry {
-                        Entry::Ready { last_used, .. } => {
-                            Some((*last_used, shard_idx, Arc::clone(key)))
-                        }
-                        Entry::InFlight(_) => None,
-                    })
-                })
-                .min_by_key(|(last_used, _, _)| *last_used)
-                .map(|(_, shard_idx, key)| (shard_idx, key))
-                .expect("ready count > 0 implies a ready entry");
-            self.shards[victim.0].remove(victim.1.as_ref());
+            let (backend, key) = self
+                .recency
+                .pop_back()
+                .expect("ready count > 0 implies a linked entry");
+            self.shards[backend].remove(key.as_ref());
             self.ready -= 1;
             evicted += 1;
         }
@@ -166,8 +269,8 @@ impl<W> ReportCache<W> {
         Self {
             state: Mutex::new(CacheState {
                 shards: Vec::new(),
+                recency: Recency::new(),
                 ready: 0,
-                tick: 0,
             }),
             capacity: capacity.map(|c| c.max(1)),
         }
@@ -230,6 +333,25 @@ impl<W> ReportCache<W> {
             .map(HashMap::len)
             .sum()
     }
+
+    /// Completed keys from most to least recently used, walked along the
+    /// recency list; asserts the backward links agree on the way.
+    #[cfg(test)]
+    fn recency_order(&self) -> Vec<(usize, WorkloadSpec)> {
+        let state = self.state.lock().expect("cache lock");
+        let nodes = &state.recency.nodes;
+        let mut order = Vec::new();
+        let (mut idx, mut prev) = (state.recency.head, NIL);
+        while idx != NIL {
+            assert_eq!(nodes[idx].prev, prev, "backward link of node {idx}");
+            let key = nodes[idx].key.as_deref().expect("linked nodes hold a key");
+            order.push((nodes[idx].backend, key.clone()));
+            (prev, idx) = (idx, nodes[idx].next);
+        }
+        assert_eq!(state.recency.tail, prev, "tail is the last linked node");
+        assert_eq!(order.len(), state.ready, "one linked node per ready entry");
+        order
+    }
 }
 
 /// A batch-scoped cache transaction (holds the lock until dropped).
@@ -248,12 +370,11 @@ impl<W> CacheTxn<'_, W> {
         spec: &Arc<WorkloadSpec>,
         waiter: W,
     ) -> Lookup {
-        self.state.tick += 1;
-        let tick = self.state.tick;
-        let shard = self.state.shard_mut(backend);
+        let state = &mut *self.state;
+        let shard = shard_mut(&mut state.shards, backend);
         match shard.get_mut(spec.as_ref()) {
-            Some(Entry::Ready { result, last_used }) => {
-                *last_used = tick;
+            Some(Entry::Ready { result, node }) => {
+                state.recency.touch(*node);
                 Lookup::Ready(Arc::clone(result))
             }
             Some(Entry::InFlight(waiters)) => {
@@ -275,12 +396,10 @@ impl<W> CacheTxn<'_, W> {
     /// a miss leaves the cache untouched (the caller evaluates and then
     /// [`Self::publish`]es).
     pub fn peek(&mut self, backend: usize, spec: &WorkloadSpec) -> Option<CachedResult> {
-        self.state.tick += 1;
-        let tick = self.state.tick;
-        let shard = self.state.shard_mut(backend);
-        match shard.get_mut(spec) {
-            Some(Entry::Ready { result, last_used }) => {
-                *last_used = tick;
+        let state = &mut *self.state;
+        match shard_mut(&mut state.shards, backend).get(spec) {
+            Some(Entry::Ready { result, node }) => {
+                state.recency.touch(*node);
                 Some(Arc::clone(result))
             }
             _ => None,
@@ -483,5 +602,237 @@ mod tests {
             cache.begin().lookup_or_reserve(0, &spec(), 2),
             Lookup::Ready(_)
         ));
+    }
+
+    /// The eviction policy in its first form, kept as the reference the
+    /// recency list must reproduce: a tick stamped on a completed entry at
+    /// every publish and hit, and an `O(entries)` scan for the minimum
+    /// stamp on every eviction.
+    struct ReferenceLru {
+        entries: HashMap<(usize, WorkloadSpec), RefEntry>,
+        ready: usize,
+        tick: u64,
+        capacity: usize,
+    }
+
+    enum RefEntry {
+        InFlight(Vec<u32>),
+        Ready {
+            result: CachedResult,
+            last_used: u64,
+        },
+    }
+
+    impl ReferenceLru {
+        fn new(capacity: usize) -> Self {
+            Self {
+                entries: HashMap::new(),
+                ready: 0,
+                tick: 0,
+                capacity: capacity.max(1),
+            }
+        }
+
+        fn lookup_or_reserve(&mut self, key: (usize, WorkloadSpec), waiter: u32) -> Lookup {
+            self.tick += 1;
+            match self.entries.get_mut(&key) {
+                Some(RefEntry::Ready { result, last_used }) => {
+                    *last_used = self.tick;
+                    Lookup::Ready(Arc::clone(result))
+                }
+                Some(RefEntry::InFlight(waiters)) => {
+                    waiters.push(waiter);
+                    Lookup::Merged
+                }
+                None => {
+                    self.entries.insert(key, RefEntry::InFlight(vec![waiter]));
+                    Lookup::Reserved
+                }
+            }
+        }
+
+        fn peek(&mut self, key: &(usize, WorkloadSpec)) -> Option<CachedResult> {
+            self.tick += 1;
+            match self.entries.get_mut(key) {
+                Some(RefEntry::Ready { result, last_used }) => {
+                    *last_used = self.tick;
+                    Some(Arc::clone(result))
+                }
+                _ => None,
+            }
+        }
+
+        /// Publish followed by eviction: the waiters and the eviction count.
+        fn store(&mut self, key: (usize, WorkloadSpec), result: CachedResult) -> (Vec<u32>, u64) {
+            self.tick += 1;
+            let ok = result.is_ok();
+            let previous = if ok {
+                let last_used = self.tick;
+                self.entries
+                    .insert(key, RefEntry::Ready { result, last_used })
+            } else {
+                self.entries.remove(&key)
+            };
+            match (&previous, ok) {
+                (Some(RefEntry::Ready { .. }), true) => {}
+                (Some(RefEntry::Ready { .. }), false) => self.ready -= 1,
+                (_, true) => self.ready += 1,
+                (_, false) => {}
+            }
+            let waiters = match previous {
+                Some(RefEntry::InFlight(waiters)) => waiters,
+                _ => Vec::new(),
+            };
+            let mut evicted = 0;
+            while self.ready > self.capacity {
+                let victim = self
+                    .entries
+                    .iter()
+                    .filter_map(|(key, entry)| match entry {
+                        RefEntry::Ready { last_used, .. } => Some((*last_used, key.clone())),
+                        RefEntry::InFlight(_) => None,
+                    })
+                    .min_by_key(|(last_used, _)| *last_used)
+                    .map(|(_, key)| key)
+                    .expect("ready count > 0 implies a ready entry");
+                self.entries.remove(&victim);
+                self.ready -= 1;
+                evicted += 1;
+            }
+            (waiters, evicted)
+        }
+
+        /// Completed keys from most to least recently used.
+        fn recency_order(&self) -> Vec<(usize, WorkloadSpec)> {
+            let mut ready: Vec<(u64, (usize, WorkloadSpec))> = self
+                .entries
+                .iter()
+                .filter_map(|(key, entry)| match entry {
+                    RefEntry::Ready { last_used, .. } => Some((*last_used, key.clone())),
+                    RefEntry::InFlight(_) => None,
+                })
+                .collect();
+            ready.sort_by_key(|(last_used, _)| std::cmp::Reverse(*last_used));
+            ready.into_iter().map(|(_, key)| key).collect()
+        }
+
+        fn in_flight(&self) -> Vec<(usize, WorkloadSpec)> {
+            let mut keys: Vec<_> = self
+                .entries
+                .iter()
+                .filter(|(_, entry)| matches!(entry, RefEntry::InFlight(_)))
+                .map(|(key, _)| key.clone())
+                .collect();
+            // Map order is unspecified; sort so the seeded run replays.
+            keys.sort_by_key(|(backend, spec)| (*backend, spec.name()));
+            keys
+        }
+    }
+
+    fn same_lookup(a: &Lookup, b: &Lookup) -> bool {
+        match (a, b) {
+            (Lookup::Ready(a), Lookup::Ready(b)) => Arc::ptr_eq(a, b),
+            (Lookup::Merged, Lookup::Merged) | (Lookup::Reserved, Lookup::Reserved) => true,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn recency_list_matches_the_reference_scan_on_random_operations() {
+        const BACKENDS: u64 = 3;
+        const SIZES: u64 = 12;
+        const OPS: usize = 3000;
+        let mut state = 0x5EED_CA5Eu64;
+        // splitmix64: a seeded stream, reproducible across platforms.
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let failure = || {
+            Arc::new(Err(EvalError::Panicked {
+                backend: "b".to_string(),
+                workload: "w".to_string(),
+                reason: "transient".to_string(),
+            }))
+        };
+        for capacity in 1..=8usize {
+            let cache: ReportCache<u32> = ReportCache::with_capacity(Some(capacity));
+            let mut reference = ReferenceLru::new(capacity);
+            let mut waiter = 0u32;
+            let mut evictions = 0u64;
+            for op in 0..OPS {
+                let mut key = (
+                    next(BACKENDS) as usize,
+                    WorkloadSpec::SquareGemm {
+                        n: 1 + next(SIZES) as usize,
+                    },
+                );
+                let roll = next(100);
+                // Completions land on an in-flight key half the time, so
+                // waiter hand-off is exercised as often as plain publishes.
+                let in_flight = reference.in_flight();
+                if (35..70).contains(&roll) && !in_flight.is_empty() && next(2) == 0 {
+                    key = in_flight[next(in_flight.len() as u64) as usize].clone();
+                }
+                let spec = Arc::new(key.1.clone());
+                let result: CachedResult = if next(5) == 0 {
+                    failure()
+                } else {
+                    Arc::new(Ok(EvalReport::new("b", "w")))
+                };
+                let context = format!("capacity {capacity}, op {op}, roll {roll}, key {key:?}");
+                match roll {
+                    0..=34 => {
+                        waiter += 1;
+                        let got = cache.begin().lookup_or_reserve(key.0, &spec, waiter);
+                        let want = reference.lookup_or_reserve(key.clone(), waiter);
+                        assert!(same_lookup(&got, &want), "lookup: {context}");
+                    }
+                    35..=54 => {
+                        let (shared, waiters, evicted) =
+                            cache.complete_shared(key.0, &spec, Arc::clone(&result));
+                        assert!(Arc::ptr_eq(&shared, &result));
+                        assert_eq!(
+                            (waiters, evicted),
+                            reference.store(key.clone(), result),
+                            "complete: {context}"
+                        );
+                        evictions += evicted;
+                    }
+                    55..=69 => {
+                        let (waiters, evicted) =
+                            cache.begin().publish(key.0, spec, Arc::clone(&result));
+                        assert_eq!(
+                            (waiters, evicted),
+                            reference.store(key.clone(), result),
+                            "publish: {context}"
+                        );
+                        evictions += evicted;
+                    }
+                    _ => {
+                        let got = cache.begin().peek(key.0, &key.1);
+                        let want = reference.peek(&key);
+                        let same = match (&got, &want) {
+                            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                            (None, None) => true,
+                            _ => false,
+                        };
+                        assert!(same, "peek: {context}");
+                    }
+                }
+                assert_eq!(
+                    cache.recency_order(),
+                    reference.recency_order(),
+                    "recency order: {context}"
+                );
+                assert_eq!(cache.len(), reference.entries.len(), "{context}");
+            }
+            // The bound actually bit: the run exercised eviction, not only
+            // bookkeeping.
+            assert!(evictions > 0, "capacity {capacity} never evicted");
+        }
     }
 }

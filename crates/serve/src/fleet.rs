@@ -40,11 +40,11 @@
 //! in-flight exchanges hold their own reference and finish normally.
 
 use crate::config::{BreakerConfig, RemoteConfig};
-use crate::fnv::FnvBuild;
 use crate::pool::ConnectionPool;
 use crate::service::PoolRegistry;
 use crate::topology::{ReplicaGroupDecl, Topology, TopologyError};
 use crate::wire::{ShardRequest, ShardResponse, SharedResult, WireError};
+use rsn_eval::fnv::FnvBuild;
 use rsn_eval::{Backend, EvalError, EvalReport, WorkloadSpec};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};

@@ -112,7 +112,6 @@ pub mod binary;
 mod cache;
 pub mod config;
 pub mod fleet;
-mod fnv;
 pub mod json;
 pub mod pool;
 pub mod reactor;
