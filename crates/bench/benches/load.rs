@@ -92,8 +92,8 @@ fn run_inproc(
 /// The same run through a loopback shard served by the reactor front end.
 /// Both sides enforce the deadline discipline: the *client* service sheds
 /// what ages out in its own queues, and the *shard* sheds what ages out
-/// server-side — those fast-fails cross the wire as `Overloaded` (the
-/// protocol-6 error tag), so the client's per-class accounting must
+/// server-side — those fast-fails cross the wire as `Overloaded` (a
+/// structured error tag), so the client's per-class accounting must
 /// reconcile exactly with the sum of both services' shed counters.
 /// Returns `(report, client stats, server stats)`.
 fn run_reactor(
@@ -302,7 +302,7 @@ fn main() {
     }
 
     // The reactor/remote run: deadline discipline on both sides of the
-    // wire, server-side sheds crossing back as Overloaded (the protocol-6
+    // wire, server-side sheds crossing back as Overloaded (a structured
     // error tag).
     let (report, client_stats, server_stats) = run_reactor(capacity, 2.0, second, 0xFACE);
     let (offered, answered, _, overloaded, failed) = report.totals();

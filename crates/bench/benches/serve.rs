@@ -1,22 +1,21 @@
 //! Benchmark of the batched evaluation service (`rsn-serve`): end-to-end
 //! throughput of mixed-scenario request streams at micro-batch sizes 1, 8
-//! and 64, a remote-shard pooled-vs-unpooled comparison, plus a criterion
-//! measurement of the single-request round trip.
+//! and 64, remote-shard transport modes, plus a criterion measurement of
+//! the single-request round trip.
 //!
 //! After the timed runs the harness writes `BENCH_serve.json` (repo root
 //! when run via `cargo bench`): reports/s per batch size for a
 //! cache-hitting mixed workload, and reports/s for a **cache-missing**
-//! stream through a loopback shard server under five transports —
-//! connect-per-call (the pre-pooling behaviour), pooled + pipelined JSON
-//! (the protocol-2 wire), pooled + pipelined **binary** over TCP (with
-//! the protocol-7 symbol dictionaries and bitmap-compact reports), the
-//! same stream with the dictionaries forced off (`binary_nodict`), the
-//! binary frames over the **shared-memory ring** (the protocol-4
-//! same-host transport the `auto` default negotiates on loopback), the
-//! **reactor front end** (the protocol-5 epoll event loop with
-//! out-of-order request multiplexing), and the in-process baseline — so
-//! future serving-path changes have a recorded trajectory to beat.  The
-//! document is emitted through the service's own hand-rolled JSON layer.
+//! stream through a loopback shard server per transport mode —
+//! connect-per-call (the pre-pooling behaviour), pooled + pipelined
+//! **binary** over TCP (with the symbol dictionaries and bitmap-compact
+//! reports), the same stream with the dictionaries forced off
+//! (`binary_nodict`), the binary frames over the **shared-memory ring**
+//! (the same-host transport the `auto` default negotiates on loopback),
+//! the **reactor front end** (the epoll event loop with out-of-order
+//! request multiplexing), and the in-process baseline — so future
+//! serving-path changes have a recorded trajectory to beat.  The document
+//! is emitted through the service's own hand-rolled JSON layer.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rsn_eval::{CharmBackend, Evaluator, RooflineBackend, WorkloadSpec, XnnAnalyticBackend};
@@ -121,25 +120,21 @@ enum RemoteMode {
     /// Fresh TCP connect + one per-spec exchange per evaluation — the
     /// pre-pooling transport, kept measurable as the baseline.
     ConnectPerCall,
-    /// Pooled connections + pipelined `evaluate_batch` exchanges, forced
-    /// onto the JSON encoding — the protocol-2 wire, kept measurable so
-    /// the binary codec has a recorded baseline to beat.
-    PooledPipelined,
     /// Pooled + pipelined over the binary codec, pinned to the TCP socket
-    /// — isolates the codec + coalescing stages from the ring.  Under
-    /// protocol 7 the auto-negotiation layers per-connection symbol
-    /// dictionaries and bitmap-compact reports on top.
+    /// — isolates the codec + coalescing stages from the ring.  The
+    /// default encoding layers per-connection symbol dictionaries and
+    /// bitmap-compact reports on top.
     PooledBinary,
-    /// The same pooled binary socket with the protocol-7 symbol
-    /// dictionaries forced off (`binary_nodict`) — isolates what the
-    /// dictionaries themselves buy on an identical stream.
+    /// The same pooled binary socket with the symbol dictionaries forced
+    /// off (`binary_nodict`) — isolates what the dictionaries themselves
+    /// buy on an identical stream.
     PooledBinaryNodict,
     /// Pooled + pipelined binary frames over the shared-memory ring the
-    /// `auto` default negotiates on loopback (protocol 4).
+    /// `auto` default negotiates on loopback.
     PooledShm,
     /// The shard served by the epoll reactor front end: one server thread
     /// for every connection, with the client multiplexing out-of-order
-    /// requests over one socket (protocol 5).
+    /// requests over one socket.
     PooledReactor,
     /// No wire at all: the same backend evaluated in-process.
     InProcess,
@@ -180,7 +175,6 @@ fn remote_stream(mode: RemoteMode, requests: usize) -> (f64, u64, rsn_serve::Ser
     let service = match mode {
         RemoteMode::InProcess => EvalService::with_config(shard_backends(), client_config),
         RemoteMode::ConnectPerCall
-        | RemoteMode::PooledPipelined
         | RemoteMode::PooledBinary
         | RemoteMode::PooledBinaryNodict
         | RemoteMode::PooledShm
@@ -191,21 +185,16 @@ fn remote_stream(mode: RemoteMode, requests: usize) -> (f64, u64, rsn_serve::Ser
                 } else {
                     RemoteConfig::default().pool_size
                 },
-                // The unpooled and pooled baselines stay on the JSON wire
-                // (the protocol-2 trajectory); the binary, shm and reactor
-                // modes let the auto-negotiation pick the compact codec
-                // (with symbol dictionaries under protocol 7), and the
-                // nodict mode forces the dictionaries off to isolate them.
-                encoding: match mode {
-                    RemoteMode::PooledBinary
-                    | RemoteMode::PooledShm
-                    | RemoteMode::PooledReactor => rsn_serve::EncodingPolicy::Auto,
-                    RemoteMode::PooledBinaryNodict => rsn_serve::EncodingPolicy::BinaryNodict,
-                    _ => rsn_serve::EncodingPolicy::Json,
+                // Every mode but nodict uses the default dictionary
+                // frames; the nodict mode forces them off to isolate them.
+                encoding: if mode == RemoteMode::PooledBinaryNodict {
+                    rsn_serve::EncodingPolicy::BinaryNodict
+                } else {
+                    rsn_serve::EncodingPolicy::Auto
                 },
                 // Every socket mode pins `socket` so its trajectory stays
-                // comparable across protocol versions; only the shm mode
-                // accepts the shard's ring offer.
+                // comparable across changes; only the shm mode accepts the
+                // shard's ring offer.
                 transport: if mode == RemoteMode::PooledShm {
                     rsn_serve::TransportPolicy::Auto
                 } else {
@@ -316,13 +305,12 @@ fn emit_bench_json() {
     ));
 
     // Remote transport comparison: the same cache-missing stream through a
-    // loopback shard, connect-per-call vs pooled+pipelined, with the
-    // in-process path as the ceiling.
+    // loopback shard per transport mode, with the in-process path as the
+    // ceiling.
     let remote_requests = 2048usize;
     let mut per_mode = Vec::new();
     for (label, mode) in [
         ("remote_unpooled", RemoteMode::ConnectPerCall),
-        ("remote_pooled", RemoteMode::PooledPipelined),
         ("remote_binary", RemoteMode::PooledBinary),
         ("remote_binary_nodict", RemoteMode::PooledBinaryNodict),
         ("remote_shm", RemoteMode::PooledShm),
@@ -380,42 +368,21 @@ fn emit_bench_json() {
             ]),
         ));
     }
-    sections.push((
-        "remote_pooled_vs_unpooled".to_string(),
-        JsonValue::Num(per_mode[1] / per_mode[0]),
-    ));
-    sections.push((
-        "remote_pooled_vs_inprocess".to_string(),
-        JsonValue::Num(per_mode[1] / per_mode[6]),
-    ));
-    sections.push((
-        "remote_binary_vs_json".to_string(),
-        JsonValue::Num(per_mode[2] / per_mode[1]),
-    ));
-    sections.push((
-        "remote_binary_vs_inprocess".to_string(),
-        JsonValue::Num(per_mode[2] / per_mode[6]),
-    ));
-    sections.push((
-        "remote_binary_vs_nodict".to_string(),
-        JsonValue::Num(per_mode[2] / per_mode[3]),
-    ));
-    sections.push((
-        "remote_shm_vs_binary".to_string(),
-        JsonValue::Num(per_mode[4] / per_mode[2]),
-    ));
-    sections.push((
-        "remote_shm_vs_inprocess".to_string(),
-        JsonValue::Num(per_mode[4] / per_mode[6]),
-    ));
-    sections.push((
-        "remote_reactor_vs_binary".to_string(),
-        JsonValue::Num(per_mode[5] / per_mode[2]),
-    ));
-    sections.push((
-        "remote_reactor_vs_inprocess".to_string(),
-        JsonValue::Num(per_mode[5] / per_mode[6]),
-    ));
+    // Indices into `per_mode`, in the loop order above.
+    let (binary, nodict, shm, reactor, inprocess) = (1, 2, 3, 4, 5);
+    for (label, numerator, denominator) in [
+        ("remote_binary_vs_inprocess", binary, inprocess),
+        ("remote_binary_vs_nodict", binary, nodict),
+        ("remote_shm_vs_binary", shm, binary),
+        ("remote_shm_vs_inprocess", shm, inprocess),
+        ("remote_reactor_vs_binary", reactor, binary),
+        ("remote_reactor_vs_inprocess", reactor, inprocess),
+    ] {
+        sections.push((
+            label.to_string(),
+            JsonValue::Num(per_mode[numerator] / per_mode[denominator]),
+        ));
+    }
 
     let json = JsonValue::Obj(sections).to_pretty();
     // Anchor to the workspace root regardless of the invocation CWD.

@@ -73,8 +73,9 @@ pub use backends::{
     RooflineBackend, XnnAnalyticBackend,
 };
 pub use report::{BreakdownRow, CycleStats, EvalReport, Metrics, SegmentMetric};
-// Re-exported so downstream decoders (the serving layer's JSON wire format)
-// can construct cycle statistics without a direct rsn-core dependency.
+// Re-exported so downstream decoders (the serving layer's binary wire
+// codec) can construct cycle statistics without a direct rsn-core
+// dependency.
 pub use rsn_core::sim::SchedulerKind;
 pub use sweep::{evaluate_grid, Evaluator};
 pub use workload::WorkloadSpec;

@@ -23,7 +23,7 @@ use rsn_serve::EvalService;
 use std::io::Write as _;
 
 const USAGE: &str = "usage: shardd [--topology FILE] [--listen ADDR] [--backends NAME,NAME,...] \
-                     [--workers N] [--cache-capacity N] [--encoding auto|json|binary|binary_nodict] \
+                     [--workers N] [--cache-capacity N] [--encoding auto|binary_nodict] \
                      [--transport auto|socket|shm] [--frontend threads|reactor]\n\
                      \n\
                      --topology FILE      load listen address, hosted backends and service\n\
@@ -32,17 +32,16 @@ const USAGE: &str = "usage: shardd [--topology FILE] [--listen ADDR] [--backends
                      --backends NAMES     comma-separated backend names to host (default: all)\n\
                      --workers N          worker threads per hosted backend (default 2)\n\
                      --cache-capacity N   bound the report cache to N completed entries\n\
-                     --encoding POLICY    answer encoding: auto mirrors each request (default),\n\
-                     \x20                    json forces readable frames for debugging, binary\n\
-                     \x20                    forces the compact codec (v3-only clients), and\n\
-                     \x20                    binary_nodict forces the v7 symbol dictionaries off\n\
+                     --encoding POLICY    answer framing: auto mirrors each request's symbol\n\
+                     \x20                    dictionaries (default), binary_nodict forces plain\n\
+                     \x20                    binary frames (json and binary were removed)\n\
                      --transport POLICY   shared-memory ring offers: auto offers one to\n\
                      \x20                    loopback peers (default), socket never offers,\n\
                      \x20                    shm offers to every peer (same-host fleets behind\n\
                      \x20                    a non-loopback address)\n\
                      --frontend POLICY    connection front end: threads serves each connection\n\
                      \x20                    from a blocking thread (default), reactor serves\n\
-                     \x20                    them all from one event loop (protocol-5\n\
+                     \x20                    them all from one event loop (request\n\
                      \x20                    multiplexing; never offers shm rings)\n";
 
 fn fail(message: &str) -> ! {
@@ -101,11 +100,10 @@ fn main() {
             }
             "--encoding" => {
                 let text = value("--encoding");
-                encoding = Some(rsn_serve::EncodingPolicy::parse(&text).unwrap_or_else(|| {
-                    fail(&format!(
-                        "unknown encoding `{text}` (expected auto, json, binary or binary_nodict)"
-                    ))
-                }));
+                encoding = Some(
+                    rsn_serve::EncodingPolicy::parse(&text)
+                        .unwrap_or_else(|message| fail(&message)),
+                );
             }
             "--transport" => {
                 let text = value("--transport");

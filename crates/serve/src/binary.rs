@@ -1,21 +1,17 @@
-//! The compact binary wire codec (protocol version 3).
+//! The binary wire codec of the shard protocol.
 //!
-//! The JSON wire format is self-describing and diffable, but building a
-//! pretty-printed `String` per frame — one allocation per key, a full
-//! recursive-descent parse on the receiving side — is what capped the
-//! remote path at ~10% of in-process throughput (see `BENCH_serve.json`).
-//! This module is the allocation-free replacement: every wire document
-//! (specs, reports, errors, results, batches, stats) encodes straight into
-//! a caller-owned `Vec<u8>` scratch buffer with no intermediate
-//! [`JsonValue`](crate::json::JsonValue) tree, and decodes straight out of
-//! the received payload bytes.
+//! Every wire document (specs, reports, errors, results, batches, stats)
+//! encodes straight into a caller-owned `Vec<u8>` scratch buffer with no
+//! intermediate document tree, and decodes straight out of the received
+//! payload bytes — no per-key allocation on the way out, no
+//! recursive-descent parse on the way in.
 //!
 //! # Layout
 //!
-//! A binary payload starts with [`MAGIC`] (`0xB3`) — a byte no JSON
-//! document of ours can start with, so receivers dispatch per frame and
-//! mixed-encoding fleets interoperate (see [`crate::wire`] for the
-//! negotiation rules).  After the magic byte:
+//! A plain payload starts with [`MAGIC`] (`0xB3`); a payload that resolves
+//! labels against the connection's symbol dictionaries starts with
+//! [`DICT_MAGIC`] (`0xB7`).  Receivers dispatch per frame (see
+//! [`crate::wire`]).  After the magic byte:
 //!
 //! ```text
 //! magic  tag  varint(id)  body…
@@ -25,19 +21,19 @@
 //!   continue) — counters and ids are small, so most take one byte;
 //! * strings are a varint byte length followed by UTF-8 bytes;
 //! * floats are 8 little-endian bytes of their IEEE-754 bits (non-finite
-//!   values survive exactly, unlike JSON's `null` mapping);
+//!   values survive exactly);
 //! * options are a `0`/`1` presence byte, then the value;
 //! * sequences are a varint count, then the elements.
 //!
-//! Message `tag` bytes: requests use `0x01`–`0x05` (hello, supports,
-//! evaluate, evaluate_batch, stats), responses `0x81`–`0x85` in the same
-//! order plus `0x8F` for a protocol-level rejection.  Inner documents
-//! (specs, errors) carry their own one-byte variant tags.
+//! Message `tag` bytes: requests use `0x01`–`0x06` (hello, supports,
+//! evaluate, evaluate_batch, stats, cancel), responses `0x81`–`0x85` in
+//! the same order plus `0x8F` for a protocol-level rejection.  Inner
+//! documents (specs, errors) carry their own one-byte variant tags.
 //!
 //! Encoding is deterministic (metric maps iterate in `BTreeMap` order), so
 //! a document's binary image is byte-stable — the round-trip tests pin
-//! `decode(encode(x)) == x` identity for every document type and semantic
-//! equality with the JSON codec.
+//! `decode(encode(x)) == x` identity for every document type, and that the
+//! decoded value emits the same [`crate::json`] text as the original.
 
 use crate::json::DecodeError;
 use crate::request::Priority;
@@ -57,9 +53,8 @@ use std::sync::Arc;
 // keep this import path.
 pub use rsn_eval::report::Interner;
 
-/// First byte of every binary payload.  The JSON emitter's documents start
-/// with `{`, `[`, `"`, a digit, `-`, `t`, `f` or `n` — all ASCII — so this
-/// byte unambiguously marks a binary frame.
+/// First byte of every plain binary payload.  A JSON document starts with
+/// an ASCII byte, so a stray JSON frame can never pass for one.
 pub const MAGIC: u8 = 0xB3;
 
 // Message tags (requests 0x0_, responses 0x8_).
@@ -273,16 +268,14 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Per-connection symbol dictionaries (protocol 7)
+// Per-connection symbol dictionaries
 // ---------------------------------------------------------------------------
 
-/// First byte of a dictionary-encoded binary payload (protocol 7).  Like
-/// [`MAGIC`], no JSON document can start with it, so receivers still
-/// dispatch per frame — but unlike plain binary frames, a dictionary frame
-/// reads and writes *connection state*: the per-direction symbol tables
-/// that resolve label ids.  Frames with this magic may only appear on a
-/// connection whose hello negotiated protocol ≥ 7, and the two magics may
-/// interleave freely on such a connection (plain frames never touch the
+/// First byte of a dictionary-encoded binary payload.  Like [`MAGIC`],
+/// receivers dispatch on it per frame — but unlike plain binary frames, a
+/// dictionary frame reads and writes *connection state*: the
+/// per-direction symbol tables that resolve label ids.  The two magics may
+/// interleave freely on one connection (plain frames never touch the
 /// tables).
 pub const DICT_MAGIC: u8 = 0xB7;
 
@@ -310,7 +303,7 @@ const DSTR_REF_BASE: u64 = 2;
 /// The FNV-keyed probe happens once per label *occurrence on the encode
 /// side only*; the decode side resolves references by direct vector index
 /// with no hashing at all — that, plus the absent string bytes, is the
-/// protocol-7 saving.
+/// dictionary saving.
 #[derive(Debug, Default)]
 pub struct TxSymbols {
     ids: HashMap<Arc<str>, u32, FnvBuild>,
@@ -452,7 +445,7 @@ impl ConnCodec {
     }
 }
 
-// Report presence bitmap (protocol 7): one leading varint replaces the
+// Report presence bitmap (dictionary frames): one leading varint replaces the
 // three per-`Option` tag bytes, the cycle presence bool, the nested
 // `max_abs_error` option tag, and lets empty sections cost nothing — the
 // common analytic-report shape encodes its fixed scalars back-to-back.
@@ -641,8 +634,8 @@ fn read_report_dict(r: &mut Reader<'_>, rx: &mut RxSymbols) -> Result<EvalReport
 }
 
 /// Appends one domain result in dictionary form (`0` = report, `1` =
-/// error).  Errors keep the plain v6 field encoding — they are the cold
-/// path, and their free-text payloads are poor dictionary citizens.
+/// error).  Errors keep the plain field encoding — they are the cold path,
+/// and their free-text payloads are poor dictionary citizens.
 pub fn encode_result_dict(
     out: &mut Vec<u8>,
     result: &Result<EvalReport, EvalError>,
@@ -1080,9 +1073,9 @@ pub fn decode_report(bytes: &[u8]) -> Result<EvalReport, DecodeError> {
     Ok(report)
 }
 
-/// Appends one evaluation error.  Like the JSON codec, engine errors encode
-/// by display text (their payload types do not cross the wire) and decode
-/// as [`EvalError::Remote`].
+/// Appends one evaluation error.  Engine errors encode by display text
+/// (their payload types do not cross the wire) and decode as
+/// [`EvalError::Remote`].
 pub fn encode_error(out: &mut Vec<u8>, error: &EvalError) {
     match error {
         EvalError::Unsupported { backend, workload } => {
@@ -1222,9 +1215,8 @@ pub fn encode_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
     put_usize(out, stats.remote_pools.len());
     for pool in &stats.remote_pools {
         put_str(out, &pool.addr);
-        // Pool records are extensible: a varint field count precedes the
-        // counter varints, so a decoder reads the fields it knows, skips
-        // any it does not, and zero-fills the rest.  New counters append.
+        // A varint field count precedes the counter varints; a decoder
+        // refuses any count but its own.
         put_usize(out, POOL_FIELD_COUNT);
         put_varint(out, pool.checkouts);
         put_varint(out, pool.reused);
@@ -1247,12 +1239,8 @@ pub fn encode_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
         put_varint(out, pool.dict_defines);
         put_varint(out, pool.dict_hits);
     }
-    // Trailing-optional per-class latency section, appended since v6.  It
-    // is emitted only when populated: pre-v6 decoders `finish()` after the
-    // pool records and would reject appended bytes, so servers clear
-    // `classes` before answering a peer whose hello said < v6 (see the
-    // front ends), and the resulting empty image is byte-identical to v5's.
-    // Decoding the other way, a missing section reads as "no classes".
+    // The per-class latency section trails the pool records and is emitted
+    // only when populated; a missing section reads as "no classes".
     if stats.classes.is_empty() {
         return;
     }
@@ -1271,9 +1259,7 @@ pub fn encode_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
     }
 }
 
-/// Counter varints per pool record in this build's encoding (the record's
-/// field-count prefix).  18 → 20 in v7: the two symbol-dictionary counters
-/// append, and older peers' records zero-fill them leniently.
+/// Counter varints per pool record (the record's field-count prefix).
 const POOL_FIELD_COUNT: usize = 20;
 
 fn read_stats(r: &mut Reader<'_>) -> Result<ServiceStats, DecodeError> {
@@ -1299,14 +1285,15 @@ fn read_stats(r: &mut Reader<'_>) -> Result<ServiceStats, DecodeError> {
     }
     for _ in 0..r.len()? {
         let addr = r.str()?;
-        // Lenient record decode: a shorter count (older peer) zero-fills
-        // the missing counters, a longer one (newer peer) skips the extras.
+        let count = r.len()?;
+        if count != POOL_FIELD_COUNT {
+            return Err(r.error(format!(
+                "pool record carries {count} counters, expected {POOL_FIELD_COUNT}"
+            )));
+        }
         let mut fields = [0u64; POOL_FIELD_COUNT];
-        for index in 0..r.len()? {
-            let value = r.varint()?;
-            if let Some(slot) = fields.get_mut(index) {
-                *slot = value;
-            }
+        for slot in &mut fields {
+            *slot = r.varint()?;
         }
         stats.remote_pools.push(PoolStats {
             addr,
@@ -1332,7 +1319,7 @@ fn read_stats(r: &mut Reader<'_>) -> Result<ServiceStats, DecodeError> {
             dict_hits: fields[19],
         });
     }
-    // Trailing-optional: a v1–v5 peer's image simply ends here.
+    // The per-class section is absent when there are no classes.
     if r.remaining() > 0 {
         for _ in 0..r.len()? {
             let spelling = r.str()?;
@@ -1380,11 +1367,6 @@ pub fn encode_request(out: &mut Vec<u8>, id: u64, request: &ShardRequest) {
         ShardRequest::Hello { protocol } => {
             out.push(TAG_HELLO);
             put_varint(out, id);
-            // Trailing optional client version, appended since v5 — pre-v5
-            // decoders call `finish()` after the id and would reject the
-            // extra varint, but clients always hello in JSON (where unknown
-            // keys are ignored), so the binary image only ever reaches
-            // peers that read it.
             put_varint(out, *protocol);
         }
         ShardRequest::Supports { backend, spec } => {
@@ -1429,13 +1411,9 @@ pub fn decode_request(bytes: &[u8]) -> Result<(u64, ShardRequest), DecodeError> 
     let tag = r.byte()?;
     let id = r.varint()?;
     let request = match tag {
-        TAG_HELLO => {
-            // The client version varint arrived in v5; a payload ending
-            // right after the id is an older client speaking version 1
-            // semantics (no multiplexing, strict FIFO).
-            let protocol = if r.remaining() > 0 { r.varint()? } else { 1 };
-            ShardRequest::Hello { protocol }
-        }
+        TAG_HELLO => ShardRequest::Hello {
+            protocol: r.varint()?,
+        },
         TAG_SUPPORTS => ShardRequest::Supports {
             backend: r.str()?,
             spec: read_spec(&mut r)?,
@@ -1481,17 +1459,12 @@ pub fn encode_response(out: &mut Vec<u8>, id: u64, response: &ShardResponse) {
                 put_str(out, name);
             }
             put_varint(out, *protocol);
-            // Trailing optional ring path, appended only when offered —
-            // decoders treat end-of-payload here as "no ring" so pre-v4
-            // images stay decodable.
             if let Some(path) = ring {
                 out.push(1);
                 put_str(out, path);
             } else {
                 out.push(0);
             }
-            // Trailing optional credit window (v5), after the ring bytes;
-            // decoders treat end-of-payload here as "no multiplexing".
             if let Some(credits) = window {
                 out.push(1);
                 put_varint(out, *credits);
@@ -1546,27 +1519,15 @@ pub fn decode_response(bytes: &[u8]) -> Result<(u64, ShardResponse), DecodeError
                 names.push(r.str()?);
             }
             let protocol = r.varint()?;
-            // The ring field arrived in v4; a payload ending right after
-            // the protocol varint is an older image with no ring offer.
-            let ring = if r.remaining() == 0 {
-                None
-            } else {
-                match r.byte()? {
-                    0 => None,
-                    1 => Some(r.str()?),
-                    other => return Err(r.error(format!("invalid ring tag {other:#04x}"))),
-                }
+            let ring = match r.byte()? {
+                0 => None,
+                1 => Some(r.str()?),
+                other => return Err(r.error(format!("invalid ring tag {other:#04x}"))),
             };
-            // The window field arrived in v5; a payload ending after the
-            // ring bytes is a v4 image with no multiplexing offer.
-            let window = if r.remaining() == 0 {
-                None
-            } else {
-                match r.byte()? {
-                    0 => None,
-                    1 => Some(r.varint()?),
-                    other => return Err(r.error(format!("invalid window tag {other:#04x}"))),
-                }
+            let window = match r.byte()? {
+                0 => None,
+                1 => Some(r.varint()?),
+                other => return Err(r.error(format!("invalid window tag {other:#04x}"))),
             };
             ShardResponse::Backends {
                 names,

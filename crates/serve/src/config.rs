@@ -2,34 +2,24 @@
 
 use std::time::Duration;
 
-/// Which wire encoding the remote layer uses (see [`crate::binary`] and
-/// the negotiation rules in [`crate::wire`]).
+/// Which binary framing the remote layer uses (see [`crate::binary`]).
 ///
-/// On the client side this decides what a connection pool *sends*: `Auto`
-/// sends JSON until the hello handshake has learned the shard speaks
-/// protocol ≥ 3, then switches to binary.  On the server side it decides
-/// what a shard *answers with*: `Auto` mirrors each request's encoding (so
-/// old JSON clients keep working), `Json` forces readable frames for
-/// debugging (`shardd --encoding json`, or the topology's `encoding`
-/// knob), and `Binary` forces the compact codec even for JSON requests —
-/// only useful when every client is known to be version ≥ 3.
-/// `BinaryNodict` is `Binary` with the protocol-7 symbol dictionaries
-/// forced off: frames stay stateless plain binary even against v7 peers,
-/// for debugging dictionary suspicion and for the bench's v7-vs-v6
-/// same-run comparison.
+/// `Auto`, the default, speaks the per-connection symbol dictionaries
+/// (`0xB7` frames): a client pool sends dictionary frames once the hello
+/// has answered, and a shard mirrors each request's framing.
+/// `BinaryNodict` forces the stateless plain image (`0xB3`) on whichever
+/// side sets it — for ruling out dictionary suspicion, and for the bench's
+/// same-run dictionary comparison.
+///
+/// The removed `json` and `binary` spellings are refused at parse time
+/// with a message saying so ([`EncodingPolicy::parse`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EncodingPolicy {
-    /// Negotiate per peer: dictionary binary with v7 peers, plain binary
-    /// with v3–v6 peers, JSON otherwise.
+    /// Dictionary binary frames.
     #[default]
     Auto,
-    /// Always JSON (the debugging / archaeology setting).
-    Json,
-    /// Binary, with dictionaries where the peer negotiates v7 (requires
-    /// every peer to speak protocol ≥ 3).
-    Binary,
     /// Binary with symbol dictionaries forced off — every frame is the
-    /// stateless plain image, even against v7 peers.
+    /// stateless plain image.
     BinaryNodict,
 }
 
@@ -38,20 +28,23 @@ impl EncodingPolicy {
     pub fn as_str(self) -> &'static str {
         match self {
             EncodingPolicy::Auto => "auto",
-            EncodingPolicy::Json => "json",
-            EncodingPolicy::Binary => "binary",
             EncodingPolicy::BinaryNodict => "binary_nodict",
         }
     }
 
-    /// Parses the topology-file / CLI spelling.
-    pub fn parse(text: &str) -> Option<Self> {
+    /// Parses the topology-file / CLI spelling.  The error names the
+    /// accepted spellings, and says so when `text` is one that was removed.
+    pub fn parse(text: &str) -> Result<Self, String> {
         match text {
-            "auto" => Some(EncodingPolicy::Auto),
-            "json" => Some(EncodingPolicy::Json),
-            "binary" => Some(EncodingPolicy::Binary),
-            "binary_nodict" => Some(EncodingPolicy::BinaryNodict),
-            _ => None,
+            "auto" => Ok(EncodingPolicy::Auto),
+            "binary_nodict" => Ok(EncodingPolicy::BinaryNodict),
+            "json" | "binary" => Err(format!(
+                "encoding `{text}` was removed: the shard wire speaks one binary protocol \
+                 (use auto or binary_nodict)"
+            )),
+            _ => Err(format!(
+                "unknown encoding `{text}` (expected auto or binary_nodict)"
+            )),
         }
     }
 }
@@ -116,7 +109,7 @@ impl std::fmt::Display for TransportPolicy {
 /// `Threads` is the classic one-blocking-thread-per-connection front end:
 /// simple, debuggable, strictly FIFO per connection.  `Reactor` serves
 /// every connection from one nonblocking event-loop thread, which unlocks
-/// the protocol-5 features — out-of-order completion, cancellation, a
+/// multiplexing — out-of-order completion, cancellation, a
 /// per-connection credit window — and scales to thousands of idle
 /// connections without a thread each.  The reactor never offers
 /// shared-memory rings (same-host deployments wanting rings should stay on
@@ -227,9 +220,9 @@ pub struct RemoteConfig {
     /// requests before reaping it.  Pooled clients re-dial transparently
     /// when a reaped connection is found dead at checkout.
     pub server_idle_timeout: Duration,
-    /// Which wire encoding to speak (client: what pools send; server: what
-    /// shards answer with).  The default `Auto` negotiates binary with v3
-    /// peers and falls back to JSON against older ones.
+    /// Which binary framing to speak (client: what pools send; server: what
+    /// shards answer with).  The default `Auto` uses the symbol
+    /// dictionaries; `BinaryNodict` forces plain frames.
     pub encoding: EncodingPolicy,
     /// Which transport to ride (client: whether pools accept a shard's
     /// ring offer; server: whether shards make one).  The default `Auto`
@@ -238,7 +231,7 @@ pub struct RemoteConfig {
     pub transport: TransportPolicy,
     /// How a shard server drives its connections: blocking
     /// thread-per-connection, or the nonblocking reactor event loop that
-    /// enables protocol-5 multiplexing.  Client pools ignore this knob —
+    /// enables request multiplexing.  Client pools ignore this knob —
     /// they follow the server's hello (a shard that advertises a credit
     /// window gets a multiplexed connection).
     pub frontend: FrontendPolicy,
@@ -370,15 +363,17 @@ mod tests {
 
     #[test]
     fn encoding_policy_spellings_round_trip() {
-        for policy in [
-            EncodingPolicy::Auto,
-            EncodingPolicy::Json,
-            EncodingPolicy::Binary,
-            EncodingPolicy::BinaryNodict,
-        ] {
-            assert_eq!(EncodingPolicy::parse(policy.as_str()), Some(policy));
+        for policy in [EncodingPolicy::Auto, EncodingPolicy::BinaryNodict] {
+            assert_eq!(EncodingPolicy::parse(policy.as_str()), Ok(policy));
         }
-        assert_eq!(EncodingPolicy::parse("yaml"), None);
+        assert!(EncodingPolicy::parse("yaml")
+            .unwrap_err()
+            .contains("unknown encoding"));
+        // The removed spellings say they were removed.
+        for removed in ["json", "binary"] {
+            let message = EncodingPolicy::parse(removed).unwrap_err();
+            assert!(message.contains("was removed"), "{message}");
+        }
         assert_eq!(RemoteConfig::default().encoding, EncodingPolicy::Auto);
     }
 

@@ -21,7 +21,7 @@
 //!   [`observed_exchange_p95`](crate::ConnectionPool::observed_exchange_p95)),
 //!   the same exchange is re-issued against the next sibling and the
 //!   first answer wins (`hedges_launched`/`hedges_won`).  The loser is
-//!   abandoned: on a multiplexed (protocol ≥ 5) connection its budget
+//!   abandoned: on a multiplexed (windowed) connection its budget
 //!   expiry sends the `Cancel` frame, so the losing shard stops working
 //!   on it rather than finishing into the void.
 //! * **Circuit breaking** — each replica keeps a rolling window of
@@ -62,9 +62,9 @@ const MIN_DERIVED_HEDGE_BUDGET: Duration = Duration::from_micros(500);
 
 /// The per-shard [`RemoteConfig`] a topology implies for `addr`: the
 /// topology's base remote tuning with the matching `remotes[]`
-/// declaration's overrides applied.  Callers pass addresses that
-/// [`topology_from_json`](crate::topology::topology_from_json) has already
-/// validated against `remotes[]`; an unknown address gets the base tuning.
+/// declaration's overrides applied.  Callers pass addresses the topology
+/// decoder ([`crate::topology`]) has already validated against
+/// `remotes[]`; an unknown address gets the base tuning.
 pub(crate) fn remote_config_for(topology: &Topology, addr: &str) -> RemoteConfig {
     let base = &topology.service.remote;
     match topology.remotes.iter().find(|decl| decl.addr == addr) {
@@ -325,8 +325,8 @@ impl FleetState {
 type AttemptResult = Result<Vec<SharedResult>, WireError>;
 
 /// Runs `specs` against one replica as a single exchange (an
-/// `evaluate_batch` where the shard's protocol allows, per-spec
-/// `evaluate` exchanges otherwise) and feeds the breaker.
+/// `evaluate_batch` for two or more specs, an `evaluate` for one) and
+/// feeds the breaker.
 fn attempt(
     replica: &Replica,
     cfg: &BreakerConfig,
@@ -339,13 +339,11 @@ fn attempt(
 }
 
 fn attempt_raw(pool: &ConnectionPool, backend: &str, specs: &[WorkloadSpec]) -> AttemptResult {
-    if pool.protocol().is_none() {
-        // Fleet pools are built without a construction-time handshake (a
-        // dead replica must not abort assembly); negotiate on first use
-        // and let the exchange below surface any transport error.
-        let _ = pool.hello();
-    }
-    if specs.len() >= 2 && pool.supports_batch() {
+    // Fleet pools are built without a construction-time handshake (a dead
+    // replica must not abort assembly); say hello on first use, so a
+    // refusal or a dead replica fails this attempt over.
+    pool.negotiate()?;
+    if specs.len() >= 2 {
         match pool.exchange(&ShardRequest::EvaluateBatch {
             backend: backend.to_string(),
             specs: specs.to_vec(),
@@ -425,7 +423,7 @@ fn run(state: &FleetState, specs: &[WorkloadSpec]) -> Result<Vec<SharedResult>, 
     // it outlives the budget, and fails over to unlaunched siblings as
     // attempts error out.  Abandoned attempts (the hedge race's loser)
     // keep their `Arc<Replica>` alive until their own exchange budget
-    // expires — on a multiplexed connection that expiry sends the v5
+    // expires — on a multiplexed connection that expiry sends the
     // `Cancel` frame, so the losing shard stops computing the answer.
     let (tx, rx) = mpsc::channel::<(usize, AttemptResult)>();
     let spawn_attempt = |idx: usize| {

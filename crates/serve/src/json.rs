@@ -1,15 +1,15 @@
-//! Hand-rolled JSON emission *and parsing* for reports, grids, workload
-//! specs and service statistics.
+//! Hand-rolled JSON emission for reports, grids, workload specs and
+//! service statistics, plus the parser topology files are read with.
 //!
 //! The build environment has no crates.io access, so the workspace's `serde`
 //! is a no-op stand-in (see `crates/support/serde`) and report types cannot
 //! derive a real serialiser.  This module is the working replacement until
-//! the registry is reachable: a tiny JSON document model, converters for
+//! the registry is reachable: a tiny JSON document model, emitters for
 //! [`EvalReport`], evaluation grids, [`WorkloadSpec`], [`EvalError`] and
-//! [`ServiceStats`], a recursive-descent [`parse`] function with positioned
-//! errors, and typed decoders back out of the document model.  Together the
-//! two halves are the wire format of the cross-process serving layer
-//! (`crate::wire`/`crate::remote`).
+//! [`ServiceStats`], and a recursive-descent [`parse`] function with
+//! positioned errors (used by [`crate::topology`]).  The shard wire itself
+//! is binary ([`crate::binary`]); JSON is what operators, snapshots and the
+//! benchmarks read.
 //!
 //! Emission is deterministic — object keys keep insertion order, metric
 //! maps are `BTreeMap`-sorted, and floats print in Rust's shortest
@@ -19,17 +19,10 @@
 //! produces).
 //!
 //! Non-finite floats have no JSON representation; they emit as `null`.
-//! Decoders map `null` back to `None` for optional metrics and to `NaN` for
-//! structurally required floats, so a non-finite value survives a round
-//! trip as "absent", never as a parse error.
 
-use crate::request::Priority;
-use crate::stats::{ClassStats, LatencyHistogram, PoolStats, ServiceStats, ShardStats};
-use rsn_eval::{BreakdownRow, CycleStats, SegmentMetric};
-use rsn_eval::{EvalError, EvalReport, SchedulerKind, WorkloadSpec};
-use rsn_lib::mapping::MappingType;
+use crate::stats::ServiceStats;
+use rsn_eval::{EvalError, EvalReport, WorkloadSpec};
 use rsn_workloads::bert::BertConfig;
-use rsn_workloads::models::ModelKind;
 
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -501,12 +494,12 @@ impl Parser<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Typed decoding: JsonValue → service/evaluation types
+// Decode errors (shared by the topology decoder and the binary codec)
 // ---------------------------------------------------------------------------
 
-/// A structurally valid JSON document that does not decode into the
-/// requested service type (missing field, wrong node kind, unknown
-/// enum tag).
+/// A structurally valid document that does not decode into the requested
+/// type (missing field, wrong node kind, unknown enum tag, malformed
+/// binary payload).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError {
     /// Which document/field was being decoded.
@@ -532,46 +525,6 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn expect_obj<'a>(
-    value: &'a JsonValue,
-    ctx: &str,
-) -> Result<&'a [(String, JsonValue)], DecodeError> {
-    match value {
-        JsonValue::Obj(pairs) => Ok(pairs),
-        other => Err(DecodeError::new(
-            ctx,
-            format!("expected an object, found {}", kind(other)),
-        )),
-    }
-}
-
-fn expect_arr<'a>(value: &'a JsonValue, ctx: &str) -> Result<&'a [JsonValue], DecodeError> {
-    match value {
-        JsonValue::Arr(items) => Ok(items),
-        other => Err(DecodeError::new(
-            ctx,
-            format!("expected an array, found {}", kind(other)),
-        )),
-    }
-}
-
-fn field<'a>(value: &'a JsonValue, key: &str, ctx: &str) -> Result<&'a JsonValue, DecodeError> {
-    expect_obj(value, ctx)?;
-    value
-        .get(key)
-        .ok_or_else(|| DecodeError::new(ctx, format!("missing field `{key}`")))
-}
-
-fn expect_str<'a>(value: &'a JsonValue, ctx: &str) -> Result<&'a str, DecodeError> {
-    match value {
-        JsonValue::Str(s) => Ok(s),
-        other => Err(DecodeError::new(
-            ctx,
-            format!("expected a string, found {}", kind(other)),
-        )),
-    }
-}
-
 pub(crate) fn expect_u64(value: &JsonValue, ctx: &str) -> Result<u64, DecodeError> {
     match value {
         JsonValue::Int(i) => Ok(*i),
@@ -588,27 +541,6 @@ pub(crate) fn expect_u64(value: &JsonValue, ctx: &str) -> Result<u64, DecodeErro
 pub(crate) fn expect_usize(value: &JsonValue, ctx: &str) -> Result<usize, DecodeError> {
     let v = expect_u64(value, ctx)?;
     usize::try_from(v).map_err(|_| DecodeError::new(ctx, format!("{v} does not fit in usize")))
-}
-
-/// Required floats decode `null` (the emission of a non-finite value) back
-/// to `NaN`, so a report with a NaN metric survives the wire structurally.
-fn expect_f64(value: &JsonValue, ctx: &str) -> Result<f64, DecodeError> {
-    match value {
-        JsonValue::Int(i) => Ok(*i as f64),
-        JsonValue::Num(v) => Ok(*v),
-        JsonValue::Null => Ok(f64::NAN),
-        other => Err(DecodeError::new(
-            ctx,
-            format!("expected a number, found {}", kind(other)),
-        )),
-    }
-}
-
-fn expect_opt_f64(value: &JsonValue, ctx: &str) -> Result<Option<f64>, DecodeError> {
-    match value {
-        JsonValue::Null => Ok(None),
-        other => expect_f64(other, ctx).map(Some),
-    }
 }
 
 fn kind(value: &JsonValue) -> &'static str {
@@ -637,21 +569,8 @@ fn bert_config_json(cfg: &BertConfig) -> JsonValue {
     ])
 }
 
-fn bert_config_from_json(value: &JsonValue) -> Result<BertConfig, DecodeError> {
-    const CTX: &str = "BertConfig";
-    Ok(BertConfig {
-        hidden: expect_usize(field(value, "hidden", CTX)?, CTX)?,
-        heads: expect_usize(field(value, "heads", CTX)?, CTX)?,
-        ff_dim: expect_usize(field(value, "ff_dim", CTX)?, CTX)?,
-        seq_len: expect_usize(field(value, "seq_len", CTX)?, CTX)?,
-        batch: expect_usize(field(value, "batch", CTX)?, CTX)?,
-        layers: expect_usize(field(value, "layers", CTX)?, CTX)?,
-    })
-}
-
 /// Converts one workload spec into a self-describing JSON node (tagged with
-/// a `"workload"` discriminant) — the request side of the shard wire
-/// protocol.
+/// a `"workload"` discriminant).
 pub fn workload_spec_json(spec: &WorkloadSpec) -> JsonValue {
     match spec {
         WorkloadSpec::EncoderLayer { cfg } => JsonValue::obj([
@@ -710,66 +629,6 @@ pub fn workload_spec_json(spec: &WorkloadSpec) -> JsonValue {
             ("workload", JsonValue::Str("scalar_pipeline".to_string())),
             ("elements", JsonValue::Int(*elements as u64)),
         ]),
-    }
-}
-
-/// Decodes a [`workload_spec_json`] document back into a [`WorkloadSpec`].
-pub fn workload_spec_from_json(value: &JsonValue) -> Result<WorkloadSpec, DecodeError> {
-    const CTX: &str = "WorkloadSpec";
-    let tag = expect_str(field(value, "workload", CTX)?, CTX)?;
-    match tag {
-        "encoder_layer" => Ok(WorkloadSpec::EncoderLayer {
-            cfg: bert_config_from_json(field(value, "cfg", CTX)?)?,
-        }),
-        "full_model" => Ok(WorkloadSpec::FullModel {
-            cfg: bert_config_from_json(field(value, "cfg", CTX)?)?,
-        }),
-        "square_gemm" => Ok(WorkloadSpec::SquareGemm {
-            n: expect_usize(field(value, "n", CTX)?, CTX)?,
-        }),
-        "zoo_model" => {
-            let name = expect_str(field(value, "model", CTX)?, CTX)?;
-            let kind = ModelKind::table7_models()
-                .into_iter()
-                .find(|k| k.name() == name)
-                .ok_or_else(|| DecodeError::new(CTX, format!("unknown zoo model `{name}`")))?;
-            Ok(WorkloadSpec::ZooModel { kind })
-        }
-        "attention_mapping" => {
-            let letter = expect_str(field(value, "mapping", CTX)?, CTX)?;
-            let mapping = MappingType::all()
-                .into_iter()
-                .find(|m| m.letter().to_string() == letter)
-                .ok_or_else(|| DecodeError::new(CTX, format!("unknown mapping type `{letter}`")))?;
-            Ok(WorkloadSpec::AttentionMapping {
-                cfg: bert_config_from_json(field(value, "cfg", CTX)?)?,
-                mapping,
-            })
-        }
-        "power_breakdown" => Ok(WorkloadSpec::PowerBreakdown),
-        "datapath_properties" => Ok(WorkloadSpec::DatapathProperties),
-        "instruction_footprint" => Ok(WorkloadSpec::InstructionFootprint {
-            m: expect_usize(field(value, "m", CTX)?, CTX)?,
-            k: expect_usize(field(value, "k", CTX)?, CTX)?,
-            n: expect_usize(field(value, "n", CTX)?, CTX)?,
-        }),
-        "functional_gemm" => Ok(WorkloadSpec::FunctionalGemm {
-            m: expect_usize(field(value, "m", CTX)?, CTX)?,
-            k: expect_usize(field(value, "k", CTX)?, CTX)?,
-            n: expect_usize(field(value, "n", CTX)?, CTX)?,
-            seed: expect_u64(field(value, "seed", CTX)?, CTX)?,
-        }),
-        "functional_attention" => Ok(WorkloadSpec::FunctionalAttention {
-            cfg: bert_config_from_json(field(value, "cfg", CTX)?)?,
-            seed: expect_u64(field(value, "seed", CTX)?, CTX)?,
-        }),
-        "scalar_pipeline" => Ok(WorkloadSpec::ScalarPipeline {
-            elements: expect_usize(field(value, "elements", CTX)?, CTX)?,
-        }),
-        other => Err(DecodeError::new(
-            CTX,
-            format!("unknown workload tag `{other}`"),
-        )),
     }
 }
 
@@ -857,95 +716,15 @@ pub fn report_json(report: &EvalReport) -> JsonValue {
     ])
 }
 
-fn segment_from_json(value: &JsonValue) -> Result<SegmentMetric, DecodeError> {
-    const CTX: &str = "SegmentMetric";
-    Ok(SegmentMetric {
-        name: expect_str(field(value, "name", CTX)?, CTX)?.into(),
-        latency_s: expect_f64(field(value, "latency_s", CTX)?, CTX)?,
-        compute_s: expect_f64(field(value, "compute_s", CTX)?, CTX)?,
-        ddr_s: expect_f64(field(value, "ddr_s", CTX)?, CTX)?,
-        lpddr_s: expect_f64(field(value, "lpddr_s", CTX)?, CTX)?,
-        phase_s: expect_f64(field(value, "phase_s", CTX)?, CTX)?,
-    })
-}
-
-fn breakdown_from_json(value: &JsonValue) -> Result<BreakdownRow, DecodeError> {
-    const CTX: &str = "BreakdownRow";
-    let values = expect_obj(field(value, "values", CTX)?, CTX)?
-        .iter()
-        .map(|(k, v)| Ok((k.as_str().into(), expect_f64(v, CTX)?)))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    Ok(BreakdownRow {
-        name: expect_str(field(value, "name", CTX)?, CTX)?.into(),
-        values,
-    })
-}
-
-fn cycle_from_json(value: &JsonValue) -> Result<CycleStats, DecodeError> {
-    const CTX: &str = "CycleStats";
-    let scheduler = match expect_str(field(value, "scheduler", CTX)?, CTX)? {
-        "EventDriven" => SchedulerKind::EventDriven,
-        "RoundRobin" => SchedulerKind::RoundRobin,
-        other => {
-            return Err(DecodeError::new(
-                CTX,
-                format!("unknown scheduler `{other}`"),
-            ));
-        }
-    };
-    Ok(CycleStats {
-        scheduler,
-        steps: expect_u64(field(value, "steps", CTX)?, CTX)?,
-        fu_step_calls: expect_u64(field(value, "fu_step_calls", CTX)?, CTX)?,
-        makespan_cycles: expect_u64(field(value, "makespan_cycles", CTX)?, CTX)?,
-        uops_retired: expect_u64(field(value, "uops_retired", CTX)?, CTX)?,
-        words_transferred: expect_u64(field(value, "words_transferred", CTX)?, CTX)?,
-        max_abs_error: expect_opt_f64(field(value, "max_abs_error", CTX)?, CTX)?,
-    })
-}
-
-/// Decodes a [`report_json`] document back into an [`EvalReport`].
-pub fn report_from_json(value: &JsonValue) -> Result<EvalReport, DecodeError> {
-    const CTX: &str = "EvalReport";
-    let mut report = EvalReport::new(
-        expect_str(field(value, "backend", CTX)?, CTX)?,
-        expect_str(field(value, "workload", CTX)?, CTX)?,
-    );
-    report.latency_s = expect_opt_f64(field(value, "latency_s", CTX)?, CTX)?;
-    report.throughput_tasks_per_s =
-        expect_opt_f64(field(value, "throughput_tasks_per_s", CTX)?, CTX)?;
-    report.achieved_flops = expect_opt_f64(field(value, "achieved_flops", CTX)?, CTX)?;
-    report.segments = expect_arr(field(value, "segments", CTX)?, CTX)?
-        .iter()
-        .map(segment_from_json)
-        .collect::<Result<_, _>>()?;
-    report.breakdown = expect_arr(field(value, "breakdown", CTX)?, CTX)?
-        .iter()
-        .map(breakdown_from_json)
-        .collect::<Result<_, _>>()?;
-    report.cycle = match field(value, "cycle", CTX)? {
-        JsonValue::Null => None,
-        cycle => Some(cycle_from_json(cycle)?),
-    };
-    for (key, metric) in expect_obj(field(value, "metrics", CTX)?, CTX)? {
-        report
-            .metrics
-            .insert(key.as_str(), expect_f64(metric, CTX)?);
-    }
-    Ok(report)
-}
-
 // ---------------------------------------------------------------------------
 // EvalError
 // ---------------------------------------------------------------------------
 
-/// Converts an evaluation error into a structured, decodable JSON node
-/// (the wire form; grid documents use the flat string form of
-/// [`result_json`]).
+/// Converts an evaluation error into a structured JSON node (grid
+/// documents use the flat string form of [`result_json`]).
 ///
-/// Engine errors carry `rsn-core` payload types that do not cross the
-/// wire; they are encoded by their display text and decode as
-/// [`EvalError::Remote`], which re-displays that text verbatim.
+/// Engine errors carry `rsn-core` payload types with no JSON form; they
+/// emit as a `remote` node carrying their display text.
 pub fn error_json(error: &EvalError) -> JsonValue {
     match error {
         EvalError::Unsupported { backend, workload } => JsonValue::obj([
@@ -990,45 +769,6 @@ pub fn error_json(error: &EvalError) -> JsonValue {
     }
 }
 
-/// Decodes an [`error_json`] document back into an [`EvalError`].
-pub fn error_from_json(value: &JsonValue) -> Result<EvalError, DecodeError> {
-    const CTX: &str = "EvalError";
-    let str_field = |key: &str| -> Result<String, DecodeError> {
-        Ok(expect_str(field(value, key, CTX)?, CTX)?.to_string())
-    };
-    match expect_str(field(value, "kind", CTX)?, CTX)? {
-        "unsupported" => Ok(EvalError::Unsupported {
-            backend: str_field("backend")?,
-            workload: str_field("workload")?,
-        }),
-        "too_large" => Ok(EvalError::TooLarge {
-            backend: str_field("backend")?,
-            workload: str_field("workload")?,
-            limit: str_field("limit")?,
-        }),
-        "remote" => Ok(EvalError::Remote {
-            message: str_field("message")?,
-        }),
-        "panicked" => Ok(EvalError::Panicked {
-            backend: str_field("backend")?,
-            workload: str_field("workload")?,
-            reason: str_field("reason")?,
-        }),
-        "transport" => Ok(EvalError::Transport {
-            backend: str_field("backend")?,
-            detail: str_field("detail")?,
-        }),
-        "overloaded" => Ok(EvalError::Overloaded {
-            class: str_field("class")?,
-            reason: str_field("reason")?,
-        }),
-        other => Err(DecodeError::new(
-            CTX,
-            format!("unknown error kind `{other}`"),
-        )),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Results and grids
 // ---------------------------------------------------------------------------
@@ -1042,36 +782,11 @@ pub fn result_json(result: &Result<EvalReport, EvalError>) -> JsonValue {
     }
 }
 
-/// Decodes a [`result_json`] node.  The flat `{"error": "..."}` form loses
-/// the error's structure by design (grids compare text); it decodes as
-/// [`EvalError::Remote`], which displays the original text verbatim so a
-/// decoded grid re-emits byte-identically.
-pub fn result_from_json(value: &JsonValue) -> Result<Result<EvalReport, EvalError>, DecodeError> {
-    match value.get("error") {
-        Some(JsonValue::Str(message)) => Ok(Err(EvalError::Remote {
-            message: message.clone(),
-        })),
-        Some(structured) => Ok(Err(error_from_json(structured)?)),
-        None => Ok(Ok(report_from_json(value)?)),
-    }
-}
-
 /// Converts an `Evaluator`/`EvalService` grid (outer index: backend, inner:
 /// workload) into a self-describing JSON document.
 pub fn grid_json(
     backends: &[String],
     workloads: &[WorkloadSpec],
-    grid: &[Vec<Result<EvalReport, EvalError>>],
-) -> JsonValue {
-    let names: Vec<String> = workloads.iter().map(|w| w.name()).collect();
-    grid_json_named(backends, &names, grid)
-}
-
-/// [`grid_json`] over pre-rendered workload labels — what a decoded
-/// [`GridDoc`] re-emits, since grid documents carry names, not specs.
-pub fn grid_json_named(
-    backends: &[String],
-    workload_names: &[String],
     grid: &[Vec<Result<EvalReport, EvalError>>],
 ) -> JsonValue {
     JsonValue::obj([
@@ -1081,12 +796,7 @@ pub fn grid_json_named(
         ),
         (
             "workloads",
-            JsonValue::Arr(
-                workload_names
-                    .iter()
-                    .map(|w| JsonValue::Str(w.clone()))
-                    .collect(),
-            ),
+            JsonValue::Arr(workloads.iter().map(|w| JsonValue::Str(w.name())).collect()),
         ),
         (
             "reports",
@@ -1097,44 +807,6 @@ pub fn grid_json_named(
             ),
         ),
     ])
-}
-
-/// A decoded grid document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridDoc {
-    /// Backend names, outer grid order.
-    pub backends: Vec<String>,
-    /// Workload labels, inner grid order.
-    pub workloads: Vec<String>,
-    /// `[backend][workload]` results.
-    pub reports: Vec<Vec<Result<EvalReport, EvalError>>>,
-}
-
-/// Decodes a [`grid_json`] document.
-pub fn grid_from_json(value: &JsonValue) -> Result<GridDoc, DecodeError> {
-    const CTX: &str = "grid";
-    let backends = expect_arr(field(value, "backends", CTX)?, CTX)?
-        .iter()
-        .map(|b| Ok(expect_str(b, CTX)?.to_string()))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let workloads = expect_arr(field(value, "workloads", CTX)?, CTX)?
-        .iter()
-        .map(|w| Ok(expect_str(w, CTX)?.to_string()))
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    let reports = expect_arr(field(value, "reports", CTX)?, CTX)?
-        .iter()
-        .map(|row| {
-            expect_arr(row, CTX)?
-                .iter()
-                .map(result_from_json)
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(GridDoc {
-        backends,
-        workloads,
-        reports,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1243,119 +915,6 @@ pub fn stats_json(stats: &ServiceStats) -> JsonValue {
             ),
         ),
     ])
-}
-
-/// Decodes a [`stats_json`] document back into a [`ServiceStats`].
-pub fn stats_from_json(value: &JsonValue) -> Result<ServiceStats, DecodeError> {
-    const CTX: &str = "ServiceStats";
-    let int_field =
-        |key: &str| -> Result<u64, DecodeError> { expect_u64(field(value, key, CTX)?, CTX) };
-    // Pre-v6 peers predate per-class latency accounting; a missing field
-    // decodes as "no classes", matching the binary codec's trailing
-    // section.
-    let classes = match value.get("classes") {
-        None => Vec::new(),
-        Some(classes) => expect_arr(classes, CTX)?
-            .iter()
-            .map(|class| {
-                let spelling = expect_str(field(class, "class", CTX)?, CTX)?;
-                let priority = Priority::parse(spelling).ok_or_else(|| {
-                    DecodeError::new(CTX, format!("unknown priority class `{spelling}`"))
-                })?;
-                let latency = field(class, "latency", CTX)?;
-                let buckets = expect_arr(field(latency, "buckets", CTX)?, CTX)?
-                    .iter()
-                    .map(|b| expect_u64(b, CTX))
-                    .collect::<Result<Vec<_>, DecodeError>>()?;
-                Ok(ClassStats {
-                    priority,
-                    latency: LatencyHistogram::from_parts(
-                        buckets,
-                        expect_u64(field(latency, "count", CTX)?, CTX)?,
-                        expect_u64(field(latency, "sum_us", CTX)?, CTX)?,
-                        expect_u64(field(latency, "max_us", CTX)?, CTX)?,
-                    ),
-                    shed_deadline: expect_u64(field(class, "shed_deadline", CTX)?, CTX)?,
-                    shed_queue: expect_u64(field(class, "shed_queue", CTX)?, CTX)?,
-                })
-            })
-            .collect::<Result<Vec<_>, DecodeError>>()?,
-    };
-    let per_shard = expect_arr(field(value, "per_shard", CTX)?, CTX)?
-        .iter()
-        .map(|shard| {
-            Ok(ShardStats {
-                backend: expect_str(field(shard, "backend", CTX)?, CTX)?.to_string(),
-                evaluations: expect_u64(field(shard, "evaluations", CTX)?, CTX)?,
-                errors: expect_u64(field(shard, "errors", CTX)?, CTX)?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    // Version-1 shards predate the pool counters; a missing field decodes
-    // as "no pools" so mixed-version stats exchanges keep working.
-    let remote_pools = match value.get("remote_pools") {
-        None => Vec::new(),
-        Some(pools) => expect_arr(pools, CTX)?
-            .iter()
-            .map(|pool| {
-                let pool_int = |key: &str| -> Result<u64, DecodeError> {
-                    expect_u64(field(pool, key, CTX)?, CTX)
-                };
-                // Version-2 peers predate the byte counters; a missing
-                // field decodes as zero.
-                let pool_int_opt = |key: &str| -> Result<u64, DecodeError> {
-                    match pool.get(key) {
-                        None => Ok(0),
-                        Some(v) => expect_u64(v, CTX),
-                    }
-                };
-                Ok(PoolStats {
-                    addr: expect_str(field(pool, "addr", CTX)?, CTX)?.to_string(),
-                    checkouts: pool_int("checkouts")?,
-                    reused: pool_int("reused")?,
-                    dials: pool_int("dials")?,
-                    redials: pool_int("redials")?,
-                    discarded: pool_int("discarded")?,
-                    pipelined_batches: pool_int("pipelined_batches")?,
-                    pipelined_specs: pool_int("pipelined_specs")?,
-                    bytes_sent: pool_int_opt("bytes_sent")?,
-                    bytes_received: pool_int_opt("bytes_received")?,
-                    // Version-3 peers predate the coalescing and ring
-                    // counters.
-                    frames_coalesced: pool_int_opt("frames_coalesced")?,
-                    ring_exchanges: pool_int_opt("ring_exchanges")?,
-                    // Version-4 peers predate the reactor counters.
-                    reactor_wakeups: pool_int_opt("reactor_wakeups")?,
-                    inflight_per_conn: pool_int_opt("inflight_per_conn")?,
-                    // Peers predating the fleet layer (replication,
-                    // hedging, circuit breaking) lack these counters.
-                    hedges_launched: pool_int_opt("hedges_launched")?,
-                    hedges_won: pool_int_opt("hedges_won")?,
-                    failovers: pool_int_opt("failovers")?,
-                    breaker_trips: pool_int_opt("breaker_trips")?,
-                    breaker_fast_fails: pool_int_opt("breaker_fast_fails")?,
-                    // Pre-v7 peers predate the symbol-dictionary counters.
-                    dict_defines: pool_int_opt("dict_defines")?,
-                    dict_hits: pool_int_opt("dict_hits")?,
-                })
-            })
-            .collect::<Result<Vec<_>, DecodeError>>()?,
-    };
-    Ok(ServiceStats {
-        submitted: int_field("submitted")?,
-        completed: int_field("completed")?,
-        batches: int_field("batches")?,
-        batched_requests: int_field("batched_requests")?,
-        cache_hits: int_field("cache_hits")?,
-        cache_misses: int_field("cache_misses")?,
-        inflight_merged: int_field("inflight_merged")?,
-        evaluations: int_field("evaluations")?,
-        eval_errors: int_field("eval_errors")?,
-        evictions: int_field("evictions")?,
-        classes,
-        per_shard,
-        remote_pools,
-    })
 }
 
 #[cfg(test)]
@@ -1485,16 +1044,5 @@ mod tests {
             err.to_string(),
             "JSON parse error at line 3, column 2: unexpected character `x`"
         );
-    }
-
-    #[test]
-    fn decode_rejects_wrong_shapes_with_context() {
-        let err = report_from_json(&parse("{\"backend\": 3}").unwrap()).unwrap_err();
-        assert_eq!(err.context, "EvalReport");
-        let err = workload_spec_from_json(&parse("{\"workload\": \"unknown_thing\"}").unwrap())
-            .unwrap_err();
-        assert!(err.message.contains("unknown_thing"));
-        let err = stats_from_json(&parse("{}").unwrap()).unwrap_err();
-        assert!(err.message.contains("missing field"));
     }
 }

@@ -33,11 +33,10 @@
 //!   worker pools are per-backend shards with panic isolation
 //!   ([`EvalError::Panicked`](rsn_eval::EvalError));
 //! * [`json`] is the offline-friendly emitter for reports, grids and stats
-//!   (the workspace `serde` is a no-op stand-in, so this is the real wire
-//!   format until the registry is reachable); [`binary`] is its compact
-//!   protocol-3 sibling for the shard wire — allocation-free encoding into
-//!   reusable scratch buffers, negotiated per peer with transparent JSON
-//!   fallback (see [`wire`]).
+//!   (the workspace `serde` is a no-op stand-in), plus the topology-file
+//!   parser; [`binary`] is the shard wire's codec — allocation-free
+//!   encoding into reusable scratch buffers, one protocol version, no
+//!   fallbacks (see [`wire`]).
 //!
 //! ## Synchronous use
 //!
@@ -83,7 +82,7 @@
 //!
 //! [`remote`] scales the service past one process: a
 //! [`ShardServer`] hosts an `EvalService`'s worker
-//! pools behind a TCP listener speaking the length-prefixed JSON protocol
+//! pools behind a TCP listener speaking the length-prefixed binary protocol
 //! of [`wire`], and a [`RemoteBackend`] implements
 //! [`Backend`](rsn_eval::Backend) over that protocol, so remote pools slot
 //! into an [`EvalService`] (or a bare `Evaluator`) exactly like local ones.

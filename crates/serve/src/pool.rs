@@ -26,16 +26,17 @@
 //! * **Bounded** — at most `pool_size` idle connections are retained;
 //!   a `pool_size` of zero disables pooling entirely (every exchange
 //!   dials, the pre-pool behaviour, kept measurable for the serve
-//!   benchmark's pooled-vs-unpooled comparison).
+//!   benchmark's unpooled mode).
 //!
-//! The pool also owns the shard-protocol negotiation state: the `hello`
-//! handshake records the peer's [`PROTOCOL_VERSION`]
-//! so [`RemoteBackend`](crate::remote::RemoteBackend)s sharing the pool
-//! know whether the shard speaks `evaluate_batch` (pipelined micro-batch
-//! exchanges, protocol ≥ 2) and the binary codec (protocol ≥ 3) or needs
-//! the per-spec / JSON fallbacks.  Because the state lives on the pool —
-//! not on individual connections — it survives connection check-in and is
-//! shared by every backend routed through this shard address.
+//! The pool also owns the hello handshake's outcome.  A shard whose hello
+//! names any version but [`PROTOCOL_VERSION`], or that answers the hello
+//! with anything but its backends, is refused with
+//! [`WireError::Rejected`].  A successful hello records the shard's credit
+//! window (its "multiplexing is on" signal) and switches the pool's frames
+//! to the symbol dictionaries (unless the encoding policy forces them
+//! off).  Because this state lives on the pool — not on individual
+//! connections — it survives connection check-in and is shared by every
+//! backend routed through this shard address.
 //!
 //! # Pools in a replicated fleet
 //!
@@ -66,14 +67,15 @@ use crate::reactor::Multiplexer;
 use crate::shm::{RingConn, Segment};
 use crate::stats::{LatencyRecorder, PoolStats};
 use crate::wire::{
-    read_response_frame, read_response_frame_dict, write_request_frame, write_request_frame_dict,
-    ShardRequest, ShardResponse, WireEncoding, WireError, DICT_PROTOCOL, PROTOCOL_VERSION,
+    read_response_frame, read_response_frame_dict, version_mismatch, write_request_frame,
+    write_request_frame_dict, ShardRequest, ShardResponse, WireEncoding, WireError,
+    PROTOCOL_VERSION,
 };
 use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -95,8 +97,8 @@ const RING_UNKNOWN: u64 = 0;
 const RING_AVAILABLE: u64 = 1;
 const RING_REFUSED: u64 = 2;
 
-/// One pooled connection: a transport plus the per-connection symbol
-/// dictionaries of the protocol-7 encoding.  The codec rides with the
+/// One pooled connection: a transport plus its per-connection symbol
+/// dictionaries.  The codec rides with the
 /// connection through check-in and checkout — whichever thread holds the
 /// connection holds its tables, and dropping the connection drops them
 /// (fresh connections always start from empty tables).
@@ -229,7 +231,8 @@ pub(crate) struct PoolCounters {
     /// was woken (socket readiness or a submitter's wake byte).
     pub reactor_wakeups: AtomicU64,
     /// High-water mark of requests in flight on one multiplexed
-    /// connection; stays zero against strict-FIFO (pre-v5) shards.
+    /// connection; stays zero against strict-FIFO (threads front end)
+    /// shards.
     pub inflight_per_conn: AtomicU64,
     /// Hedge exchanges launched because an exchange on this pool outlived
     /// its hedge budget (fleet layer; see [`crate::fleet`]).
@@ -242,8 +245,8 @@ pub(crate) struct PoolCounters {
     pub breaker_trips: AtomicU64,
     /// Routing decisions that skipped this pool because its breaker was open.
     pub breaker_fast_fails: AtomicU64,
-    /// Labels defined into protocol-7 symbol dictionaries on this pool's
-    /// connections (both directions).
+    /// Labels defined into symbol dictionaries on this pool's connections
+    /// (both directions).
     pub dict_defines: AtomicU64,
     /// Label occurrences resolved through those dictionaries instead of
     /// re-sending string bytes (both directions).
@@ -282,16 +285,16 @@ pub struct ConnectionPool {
     config: RemoteConfig,
     idle: Mutex<Vec<PooledConn>>,
     counters: Arc<PoolCounters>,
-    /// Negotiated shard protocol version; 0 until a `hello` has answered.
-    protocol: AtomicU64,
-    /// Credit window the shard advertised in `hello` (v5 multiplexing);
-    /// 0 until negotiated, and stays 0 against strict-FIFO shards.
+    /// Whether a `hello` has answered with this build's protocol version.
+    negotiated: AtomicBool,
+    /// Credit window the shard advertised in `hello` (multiplexing); 0
+    /// until negotiated, and stays 0 against strict-FIFO shards.
     window: AtomicU64,
     /// Whether this shard offers ring segments (one of the `RING_*`
     /// states), learned on the first ring-eligible dial.
     ring_state: AtomicU64,
-    /// The multiplexed connection, once one has been established (v5 shard,
-    /// binary encoding, no ring).  Poisoned (`None`) again on transport
+    /// The multiplexed connection, once one has been established (windowed
+    /// shard, no ring).  Poisoned (`None`) again on transport
     /// failure so the next exchange re-dials.
     mux: Mutex<Option<Arc<Multiplexer>>>,
     /// Monotonic exchange ids (diagnostic only — exchanges on one
@@ -307,7 +310,7 @@ impl ConnectionPool {
             config,
             idle: Mutex::new(Vec::new()),
             counters: Arc::new(PoolCounters::default()),
-            protocol: AtomicU64::new(0),
+            negotiated: AtomicBool::new(false),
             window: AtomicU64::new(0),
             ring_state: AtomicU64::new(RING_UNKNOWN),
             mux: Mutex::new(None),
@@ -325,31 +328,21 @@ impl ConnectionPool {
         &self.config
     }
 
-    /// The negotiated shard protocol version (`None` before any `hello`
-    /// has answered).
-    pub fn protocol(&self) -> Option<u64> {
-        match self.protocol.load(Ordering::Acquire) {
-            0 => None,
-            version => Some(version),
+    /// Whether a `hello` has answered with this build's
+    /// [`PROTOCOL_VERSION`].
+    pub fn negotiated(&self) -> bool {
+        self.negotiated.load(Ordering::Acquire)
+    }
+
+    /// Performs the `hello` handshake unless one has already answered —
+    /// what clients built without a construction-time handshake call
+    /// before their first exchange, so a shard speaking another version
+    /// is refused up front.
+    pub fn negotiate(&self) -> Result<(), WireError> {
+        if self.negotiated() {
+            return Ok(());
         }
-    }
-
-    /// Whether the shard behind this pool speaks `evaluate_batch`
-    /// (protocol ≥ 2).  `false` until negotiated.
-    pub fn supports_batch(&self) -> bool {
-        self.protocol().is_some_and(|v| v >= 2)
-    }
-
-    /// Whether the shard behind this pool speaks the binary codec
-    /// (protocol ≥ 3).  `false` until negotiated.
-    pub fn supports_binary(&self) -> bool {
-        self.protocol().is_some_and(|v| v >= 3)
-    }
-
-    /// Whether the shard behind this pool speaks the protocol-7 symbol
-    /// dictionaries.  `false` until negotiated.
-    pub fn supports_dict(&self) -> bool {
-        self.protocol().is_some_and(|v| v >= DICT_PROTOCOL)
+        self.hello().map(|_| ())
     }
 
     /// The per-connection credit window the shard advertised (`None` until
@@ -362,47 +355,25 @@ impl ConnectionPool {
         }
     }
 
-    /// Whether exchanges on this pool may ride one multiplexed v5
-    /// connection: the shard advertised a window, the frames are binary
-    /// (response ids route replies without a JSON parse per peek), and no
-    /// shared-memory ring won the transport negotiation (rings already
-    /// beat sockets; multiplexing them is future work).
+    /// Whether exchanges on this pool may ride one multiplexed
+    /// connection: the shard advertised a window, and no shared-memory
+    /// ring won the transport negotiation (rings already beat sockets;
+    /// multiplexing them is future work).
     fn mux_eligible(&self) -> bool {
         self.window().is_some()
-            && matches!(
-                self.frame_encoding(),
-                WireEncoding::Binary | WireEncoding::BinaryDict
-            )
             && self.ring_state.load(Ordering::Acquire) != RING_AVAILABLE
             && self.config.pool_size > 0
     }
 
-    /// The encoding the next frame to this shard should use, combining the
-    /// configured [`EncodingPolicy`] with the negotiated protocol.  The
-    /// negotiated state lives on the pool, so it survives connection
-    /// check-in/checkout and is shared by every backend on this pool.
+    /// The framing the next frame to this shard should use: symbol
+    /// dictionaries once a hello has answered, unless the configured
+    /// [`EncodingPolicy`] forces them off.  The negotiated state lives on
+    /// the pool, so it survives connection check-in/checkout and is shared
+    /// by every backend on this pool.
     pub fn frame_encoding(&self) -> WireEncoding {
         match self.config.encoding {
-            EncodingPolicy::Json => WireEncoding::Json,
-            EncodingPolicy::Binary => {
-                if self.supports_dict() {
-                    WireEncoding::BinaryDict
-                } else {
-                    WireEncoding::Binary
-                }
-            }
-            // The debugging escape hatch: plain binary even against a v7
-            // shard, so dictionary suspicion can be ruled out per pool.
-            EncodingPolicy::BinaryNodict => WireEncoding::Binary,
-            EncodingPolicy::Auto => {
-                if self.supports_dict() {
-                    WireEncoding::BinaryDict
-                } else if self.supports_binary() {
-                    WireEncoding::Binary
-                } else {
-                    WireEncoding::Json
-                }
-            }
+            EncodingPolicy::Auto if self.negotiated() => WireEncoding::BinaryDict,
+            EncodingPolicy::Auto | EncodingPolicy::BinaryNodict => WireEncoding::Binary,
         }
     }
 
@@ -461,25 +432,40 @@ impl ConnectionPool {
     /// [`observed_exchange_p95`](Self::observed_exchange_p95) reports.
     pub const P95_MIN_SAMPLES: u64 = 16;
 
-    /// Performs the `hello` handshake, recording the shard's protocol
-    /// version for [`supports_batch`](Self::supports_batch), and returns
-    /// the hosted backend names in registration order.
+    /// Performs the `hello` handshake, recording the outcome (see the
+    /// module docs), and returns the hosted backend names in registration
+    /// order.
     pub fn hello(&self) -> Result<Vec<String>, WireError> {
-        match self.exchange(&ShardRequest::Hello {
+        let response = self.exchange(&ShardRequest::Hello {
             protocol: PROTOCOL_VERSION,
-        })? {
-            // Any ring offer in this response belongs to the connection
-            // that carried the exchange; rings are negotiated per
-            // connection at dial time, so it is ignored here.
+        })?;
+        // Any ring offer in this response belongs to the connection that
+        // carried the exchange; rings are negotiated per connection at
+        // dial time, so it is ignored here.
+        self.accept_hello(response).map(|(names, _)| names)
+    }
+
+    /// Checks one hello answer: a `Backends` carrying this build's version
+    /// records the negotiation and yields the names and ring offer;
+    /// anything else — a rejection, another version, another payload —
+    /// is refused.
+    fn accept_hello(
+        &self,
+        response: ShardResponse,
+    ) -> Result<(Vec<String>, Option<String>), WireError> {
+        match response {
             ShardResponse::Backends {
                 names,
                 protocol,
+                ring,
                 window,
-                ..
             } => {
-                self.protocol.store(protocol.max(1), Ordering::Release);
+                if protocol != PROTOCOL_VERSION {
+                    return Err(WireError::Rejected(version_mismatch(protocol)));
+                }
                 self.window.store(window.unwrap_or(0), Ordering::Release);
-                Ok(names)
+                self.negotiated.store(true, Ordering::Release);
+                Ok((names, ring))
             }
             ShardResponse::Rejected(message) => Err(WireError::Rejected(message)),
             _ => Err(WireError::Rejected(
@@ -622,9 +608,9 @@ impl ConnectionPool {
     }
 
     /// The pool's live multiplexed connection, dialling one on first use.
-    /// `None` when multiplexing is not negotiated (pre-v5 shard, JSON
-    /// encoding, a ring in play) or the dial fails — callers then take the
-    /// plain pooled path, so a mux setback never fails an exchange.
+    /// `None` when multiplexing is not negotiated (no window, a ring in
+    /// play) or the dial fails — callers then take the plain pooled path,
+    /// so a mux setback never fails an exchange.
     fn mux_handle(&self) -> Option<Arc<Multiplexer>> {
         if !self.mux_eligible() {
             return None;
@@ -712,20 +698,19 @@ impl ConnectionPool {
         Ok(stream)
     }
 
-    /// One hello on the fresh connection: learns the shard's protocol and,
-    /// when a ring segment is offered, maps it and upgrades the connection.
-    /// Every *semantic* disappointment — an old shard, no offer, a segment
-    /// that will not map — degrades to the plain socket; only transport
+    /// One hello on the fresh connection: checks the shard's answer (see
+    /// [`hello`](Self::hello)) and, when a ring segment is offered, maps it
+    /// and upgrades the connection.  No offer, or a segment that will not
+    /// map, degrades to the plain socket; a refused hello and transport
     /// failures propagate.
     fn negotiate_ring(&self, mut stream: TcpStream) -> Result<PooledConn, WireError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let encoding = self.frame_encoding();
         let hello = ShardRequest::Hello {
             protocol: PROTOCOL_VERSION,
         };
         let offer = FRAME_SCRATCH.with(|cell| {
             let scratch = &mut cell.borrow_mut();
-            let sent = write_request_frame(&mut stream, id, &hello, encoding, scratch)?;
+            let sent = write_request_frame(&mut stream, id, &hello, scratch)?;
             self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
             let (_, response, received) =
                 read_response_frame(&mut stream, scratch)?.ok_or_else(|| {
@@ -739,22 +724,7 @@ impl ConnectionPool {
                 .fetch_add(received, Ordering::Relaxed);
             Ok::<ShardResponse, WireError>(response)
         })?;
-        let ring = match offer {
-            ShardResponse::Backends {
-                protocol,
-                ring,
-                window,
-                ..
-            } => {
-                self.protocol.store(protocol.max(1), Ordering::Release);
-                self.window.store(window.unwrap_or(0), Ordering::Release);
-                ring
-            }
-            // Anything else is a peer that does not speak hello the way a
-            // shard does (a test double, a very old build).  The exchange
-            // itself was framed cleanly, so the connection is usable.
-            _ => None,
-        };
+        let (_, ring) = self.accept_hello(offer)?;
         let Some(path) = ring else {
             self.ring_state.store(RING_REFUSED, Ordering::Release);
             return Ok(PooledConn::tcp(stream));
@@ -965,32 +935,47 @@ fn connection_is_idle_and_live(stream: &TcpStream) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
+    use crate::wire::{decode_request_payload_dict, write_response_frame, FrameBuffer};
     use std::net::TcpListener;
 
-    /// A raw echo-ish peer: accepts connections and answers every frame
-    /// with a fixed rejection, counting connections accepted.
-    fn rejecting_peer() -> (String, std::sync::Arc<AtomicU64>) {
+    /// A raw binary peer: accepts connections, answers every hello with
+    /// `hello_answer` and every other frame with `Supported(true)`,
+    /// counting connections accepted.
+    fn scripted_peer(hello_answer: ShardResponse) -> (String, Arc<AtomicU64>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
         let addr = listener.local_addr().expect("peer addr").to_string();
-        let accepted = std::sync::Arc::new(AtomicU64::new(0));
-        let count = std::sync::Arc::clone(&accepted);
+        let accepted = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&accepted);
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { break };
                 count.fetch_add(1, Ordering::SeqCst);
+                let hello_answer = hello_answer.clone();
                 std::thread::spawn(move || {
-                    let mut prefix = [0u8; 4];
-                    while stream.read_exact(&mut prefix).is_ok() {
-                        let len = u32::from_be_bytes(prefix) as usize;
-                        let mut payload = vec![0u8; len];
-                        if stream.read_exact(&mut payload).is_err() {
-                            return;
+                    // Dictionary-capable, like a real shard: the pool sends
+                    // dictionary frames once its hello has answered.
+                    let mut rx = crate::binary::RxSymbols::new();
+                    let mut frames = FrameBuffer::new();
+                    let mut payload = Vec::new();
+                    let mut scratch = Vec::new();
+                    loop {
+                        match frames.take_frame(&mut payload) {
+                            Ok(true) => {}
+                            Ok(false) => match frames.fill(&mut stream) {
+                                Ok(0) | Err(_) => return,
+                                Ok(_) => continue,
+                            },
+                            Err(_) => return,
                         }
-                        let body = br#"{"id": 0, "ok": true, "supported": true}"#;
-                        let frame_len = (body.len() as u32).to_be_bytes();
-                        if stream.write_all(&frame_len).is_err() || stream.write_all(body).is_err()
-                        {
+                        let Ok((id, request, _)) = decode_request_payload_dict(&payload, &mut rx)
+                        else {
+                            return;
+                        };
+                        let response = match request {
+                            ShardRequest::Hello { .. } => hello_answer.clone(),
+                            _ => ShardResponse::Supported(true),
+                        };
+                        if write_response_frame(&mut stream, id, &response, &mut scratch).is_err() {
                             return;
                         }
                     }
@@ -998,6 +983,16 @@ mod tests {
             }
         });
         (addr, accepted)
+    }
+
+    /// A well-behaved peer: a current-version hello answer, no ring.
+    fn current_peer() -> (String, Arc<AtomicU64>) {
+        scripted_peer(ShardResponse::Backends {
+            names: Vec::new(),
+            protocol: PROTOCOL_VERSION,
+            ring: None,
+            window: None,
+        })
     }
 
     fn probe_request() -> ShardRequest {
@@ -1009,7 +1004,7 @@ mod tests {
 
     #[test]
     fn pooled_exchanges_reuse_one_connection() {
-        let (addr, accepted) = rejecting_peer();
+        let (addr, accepted) = current_peer();
         let pool = ConnectionPool::new(&addr, RemoteConfig::default());
         for _ in 0..5 {
             let response = pool.exchange(&probe_request()).expect("exchange");
@@ -1026,7 +1021,7 @@ mod tests {
 
     #[test]
     fn pool_size_zero_dials_every_exchange() {
-        let (addr, accepted) = rejecting_peer();
+        let (addr, accepted) = current_peer();
         let pool = ConnectionPool::new(
             &addr,
             RemoteConfig {
@@ -1048,7 +1043,7 @@ mod tests {
 
     #[test]
     fn dead_idle_connections_are_discarded_then_redialled() {
-        let (addr, _accepted) = rejecting_peer();
+        let (addr, _accepted) = current_peer();
         let pool = ConnectionPool::new(&addr, RemoteConfig::default());
         pool.exchange(&probe_request()).expect("warm the pool");
         assert_eq!(pool.idle_connections(), 1);
@@ -1092,5 +1087,58 @@ mod tests {
         }
         assert!(started.elapsed() < std::time::Duration::from_secs(5));
         assert_eq!(pool.stats().dials, 1);
+    }
+
+    #[test]
+    fn a_rejected_hello_is_a_refusal_not_a_usable_connection() {
+        let (addr, _accepted) = scripted_peer(ShardResponse::Rejected("go away".to_string()));
+        let pool = ConnectionPool::new(&addr, RemoteConfig::default());
+        match pool.exchange(&probe_request()) {
+            Err(WireError::Rejected(message)) => assert_eq!(message, "go away"),
+            other => panic!("expected the hello rejection, got {other:?}"),
+        }
+        assert!(!pool.negotiated());
+        assert_eq!(
+            pool.idle_connections(),
+            0,
+            "a refused connection is never pooled"
+        );
+    }
+
+    #[test]
+    fn a_hello_from_another_version_is_refused_naming_both() {
+        let (addr, _accepted) = scripted_peer(ShardResponse::Backends {
+            names: vec!["rsn-xnn".to_string()],
+            protocol: PROTOCOL_VERSION + 1,
+            ring: None,
+            window: None,
+        });
+        // Through the dial-time hello (ring negotiation)...
+        let pool = ConnectionPool::new(&addr, RemoteConfig::default());
+        match pool.exchange(&probe_request()) {
+            Err(WireError::Rejected(message)) => {
+                assert!(
+                    message.contains(&(PROTOCOL_VERSION + 1).to_string()),
+                    "{message}"
+                );
+                assert!(message.contains(&PROTOCOL_VERSION.to_string()), "{message}");
+            }
+            other => panic!("expected a version refusal, got {other:?}"),
+        }
+        // ...and through the pool-level handshake on a socket-only pool,
+        // whose dials skip the ring hello.
+        let socket_only = ConnectionPool::new(
+            &addr,
+            RemoteConfig {
+                transport: TransportPolicy::Socket,
+                ..RemoteConfig::default()
+            },
+        );
+        assert!(matches!(
+            socket_only.negotiate(),
+            Err(WireError::Rejected(_))
+        ));
+        assert!(!socket_only.negotiated());
+        assert_eq!(socket_only.frame_encoding(), WireEncoding::Binary);
     }
 }

@@ -12,8 +12,8 @@
 //! threads.  The reactor inverts that: every connection is a small state
 //! machine stepped by readiness events, evaluations run through the
 //! service's worker pools via completion callbacks, and responses leave in
-//! *completion* order — protocol 5 clients match them back up by request
-//! id.
+//! *completion* order — clients that said hello match them back up by
+//! request id.
 //!
 //! ```text
 //!             ┌───────────── reactor thread ──────────────┐
@@ -26,21 +26,23 @@
 //!             │        hello/supports/stats/cancel inline │
 //!             │        evaluate → submit_batch_callback   │
 //!             │ DONE   encode → out buffer (held for      │
-//!             │        FIFO order on pre-v5 peers)        │
+//!             │        FIFO order before a hello)         │
 //!             │ WRITE  drain out; partial ⇒ want-write    │
 //!             └───────────────────────────────────────────┘
 //! ```
 //!
-//! # Protocol-5 negotiation
+//! # Multiplexing negotiation
 //!
-//! A client that sends `hello { protocol: 5 }` to a reactor-fronted shard
-//! is answered with a credit `window`: the shard will accept up to that
-//! many request frames in flight on the connection, answers them in
-//! completion order, and honours `cancel` frames (the slot frees, the
-//! eventual stale response is suppressed).  Everything older — or any
-//! peer on the threads front end — gets no window and keeps the strict
-//! FIFO contract: the reactor holds out-of-order completions and releases
-//! them in request order, byte-identically to the blocking front end.
+//! A client whose `hello` carries this build's protocol version is
+//! answered with a credit `window`: the shard will accept up to that many
+//! request frames in flight on the connection, answers them in completion
+//! order, and honours `cancel` frames (the slot frees, the eventual stale
+//! response is suppressed).  A hello naming another version is refused.
+//! A connection that has not said hello — a pool dial with `pool_size: 0`,
+//! a blocking burst on a connection whose hello went elsewhere — keeps the
+//! strict FIFO contract: the reactor holds out-of-order completions and
+//! releases them in request order, exactly as the blocking front end
+//! answers.
 //!
 //! The reactor never offers shared-memory rings (a ring's busy-poll
 //! consumer has no place on an event loop); same-host deployments that
@@ -48,7 +50,7 @@
 //!
 //! # Backpressure
 //!
-//! Credits are enforced on the server by *not reading*: once a protocol-5
+//! Credits are enforced on the server by *not reading*: once a windowed
 //! connection has `window` evaluations in flight, its frames stay in the
 //! kernel socket buffer (read interest is dropped) until a completion
 //! frees a slot — TCP flow control pushes back to the client, whose own
@@ -60,9 +62,9 @@ use crate::pool::PoolCounters;
 use crate::request::{BackendSelector, EvalResponse, Priority};
 use crate::service::EvalService;
 use crate::wire::{
-    decode_request_payload_dict, decode_response_payload_dict, write_request_frame_dict,
-    write_response_frame, write_response_frame_dict, FrameBuffer, ShardRequest, ShardResponse,
-    SharedResult, WireEncoding, WireError, LATENCY_STATS_PROTOCOL, MUX_PROTOCOL, PROTOCOL_VERSION,
+    decode_request_payload_dict, decode_response_payload_dict, version_mismatch,
+    write_request_frame_dict, write_response_frame, write_response_frame_dict, FrameBuffer,
+    ShardRequest, ShardResponse, SharedResult, WireEncoding, WireError, PROTOCOL_VERSION,
 };
 use rsn_eval::EvalError;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -74,7 +76,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Request frames a protocol-5 connection may have in flight before the
+/// Request frames a windowed connection may have in flight before the
 /// reactor stops reading it (and the client [`Multiplexer`] blocks
 /// submitters).  Large enough to keep a shard's worker pools saturated
 /// from one connection, small enough that one greedy connection cannot
@@ -442,14 +444,15 @@ struct Conn {
     /// the socket has accepted.
     out: Vec<u8>,
     out_pos: usize,
-    /// The peer's protocol from its hello; 0 until one arrives (treated
-    /// as version 1: strict FIFO, no credit window).
-    peer_protocol: u64,
-    /// Ids owed a response, in request order — only maintained for
-    /// pre-v5 peers, whose blocking clients read responses sequentially.
+    /// Whether the peer has said hello with this build's version; until
+    /// then the connection stays strict FIFO with no credit window.
+    said_hello: bool,
+    /// Ids owed a response, in request order — only maintained before the
+    /// hello, while the peer may be a blocking client reading responses
+    /// sequentially.
     order: VecDeque<u64>,
     /// Completed responses held until their id reaches the front of
-    /// `order` (pre-v5 peers only).
+    /// `order` (before the hello only).
     fifo_done: HashMap<u64, Vec<u8>>,
     /// Evaluations submitted to the worker pools, not yet completed.
     inflight: u64,
@@ -466,7 +469,7 @@ struct Conn {
     interest: u8,
     dead: bool,
     last_activity: Instant,
-    /// Protocol-7 symbol dictionaries: `rx` interns the labels this peer
+    /// Symbol dictionaries: `rx` interns the labels this peer
     /// defines in its request frames, `tx` tracks what this side has
     /// defined in its responses.  Reset with the connection, never shared.
     codec: ConnCodec,
@@ -480,7 +483,7 @@ impl Conn {
             frames: FrameBuffer::new(),
             out: Vec::new(),
             out_pos: 0,
-            peer_protocol: 0,
+            said_hello: false,
             order: VecDeque::new(),
             fifo_done: HashMap::new(),
             inflight: 0,
@@ -494,9 +497,10 @@ impl Conn {
         }
     }
 
-    /// Whether this peer negotiated out-of-order completion (protocol 5).
+    /// Whether this connection still answers in request order (no hello
+    /// yet, so no out-of-order completion).
     fn fifo(&self) -> bool {
-        self.peer_protocol < MUX_PROTOCOL
+        !self.said_hello
     }
 
     fn wants_write(&self) -> bool {
@@ -532,7 +536,7 @@ fn encode_response(
     }
     bytes.clear();
     let fallback = ShardResponse::Rejected("response exceeded the frame bound".to_string());
-    let _ = write_response_frame(&mut bytes, id, &fallback, WireEncoding::Json, scratch);
+    let _ = write_response_frame(&mut bytes, id, &fallback, scratch);
     if encoding == WireEncoding::BinaryDict {
         conn.closing = true;
     }
@@ -540,8 +544,8 @@ fn encode_response(
 }
 
 /// Queues one encoded response on a connection: straight to the out
-/// buffer for protocol-5 peers (completion order *is* the wire order),
-/// held for request order on older ones.
+/// buffer once the peer said hello (completion order *is* the wire
+/// order), held for request order before that.
 fn queue_response(conn: &mut Conn, id: u64, bytes: Vec<u8>) {
     if conn.fifo() {
         conn.fifo_done.insert(id, bytes);
@@ -598,60 +602,59 @@ fn handle_frame(
     policy: EncodingPolicy,
     scratch: &mut Vec<u8>,
 ) {
-    let Ok((id, request, request_encoding)) =
-        decode_request_payload_dict(payload, &mut conn.codec.rx)
-    else {
-        // The encoding never decoded, so answer in JSON (readable by every
-        // protocol version) and wind the connection down: after a framing
-        // error the stream position cannot be trusted.
-        let rejection = ShardResponse::Rejected("malformed frame".to_string());
-        let bytes = encode_response(conn, 0, &rejection, WireEncoding::Json, scratch);
-        conn.out.extend_from_slice(&bytes);
-        conn.closing = true;
-        return;
-    };
+    let (id, request, request_encoding) =
+        match decode_request_payload_dict(payload, &mut conn.codec.rx) {
+            Ok(decoded) => decoded,
+            Err(error) => {
+                // Not a frame of this protocol (a JSON document, garbage):
+                // answer in the stateless plain image and wind the
+                // connection down — after a framing error the stream
+                // position cannot be trusted.
+                let rejection = ShardResponse::Rejected(error.to_string());
+                let bytes = encode_response(conn, 0, &rejection, WireEncoding::Binary, scratch);
+                conn.out.extend_from_slice(&bytes);
+                conn.closing = true;
+                return;
+            }
+        };
+    // `Auto` mirrors the request: a dictionary frame gets a dictionary
+    // answer, a plain one stays plain.
     let mut encoding = match policy {
         EncodingPolicy::Auto => request_encoding,
-        EncodingPolicy::Json => WireEncoding::Json,
-        // Forced binary still mirrors the *dictness* of each request: a
-        // dictionary frame gets a dictionary answer, a plain one stays
-        // plain, so pre-v7 peers never see a stateful frame.
-        EncodingPolicy::Binary => {
-            if request_encoding == WireEncoding::BinaryDict {
-                WireEncoding::BinaryDict
-            } else {
-                WireEncoding::Binary
-            }
-        }
         EncodingPolicy::BinaryNodict => WireEncoding::Binary,
     };
     // Dictionary responses require encode order == wire order, and the
     // FIFO hold below releases out-of-order completions in *request*
-    // order.  A peer that sends dictionary frames before its protocol-5
-    // hello (no conforming client does) therefore gets plain binary,
-    // which every dict-capable client decodes statelessly.
+    // order.  A peer that sends dictionary frames before its hello (a
+    // blocking pool connection whose hello went out on another socket)
+    // therefore gets plain binary, which it decodes statelessly.
     if encoding == WireEncoding::BinaryDict && conn.fifo() {
         encoding = WireEncoding::Binary;
     }
-    // FIFO bookkeeping uses the protocol in force when the frame arrived;
-    // a hello upgrades the *following* frames.
+    // FIFO bookkeeping uses the state in force when the frame arrived; a
+    // hello upgrades the *following* frames.
     if conn.fifo() && !matches!(request, ShardRequest::Cancel { .. }) {
         conn.order.push_back(id);
     }
     match request {
         ShardRequest::Hello { protocol } => {
-            conn.peer_protocol = protocol;
             // The reactor never offers rings; it advertises a credit
-            // window instead, and only to peers new enough to use it.
-            let response = ShardResponse::Backends {
-                names: service.backend_names().to_vec(),
-                protocol: PROTOCOL_VERSION,
-                ring: None,
-                window: (protocol >= MUX_PROTOCOL).then_some(CREDIT_WINDOW),
+            // window instead.  Another version is refused, and the
+            // connection stays FIFO.
+            let response = if protocol == PROTOCOL_VERSION {
+                conn.said_hello = true;
+                ShardResponse::Backends {
+                    names: service.backend_names().to_vec(),
+                    protocol: PROTOCOL_VERSION,
+                    ring: None,
+                    window: Some(CREDIT_WINDOW),
+                }
+            } else {
+                ShardResponse::Rejected(version_mismatch(protocol))
             };
             let bytes = encode_response(conn, id, &response, encoding, scratch);
-            // The hello itself was enqueued under the peer's *old*
-            // protocol, so release it through the same path.
+            // The hello itself was enqueued before the upgrade, so release
+            // it through the same path.
             if conn.order.back() == Some(&id) {
                 conn.fifo_done.insert(id, bytes);
                 flush_fifo(conn);
@@ -668,13 +671,7 @@ fn handle_frame(
             queue_response(conn, id, bytes);
         }
         ShardRequest::Stats => {
-            let mut stats = service.stats();
-            // Pre-v6 binary decoders reject the trailing per-class latency
-            // section, so strip it for peers that predate it.
-            if conn.peer_protocol < LATENCY_STATS_PROTOCOL {
-                stats.classes.clear();
-            }
-            let response = ShardResponse::Stats(stats);
+            let response = ShardResponse::Stats(service.stats());
             let bytes = encode_response(conn, id, &response, encoding, scratch);
             queue_response(conn, id, bytes);
         }
@@ -784,7 +781,7 @@ fn drain_frames(
             Ok(false) => break,
             Err(error) => {
                 let rejection = ShardResponse::Rejected(error.to_string());
-                let bytes = encode_response(conn, 0, &rejection, WireEncoding::Json, scratch);
+                let bytes = encode_response(conn, 0, &rejection, WireEncoding::Binary, scratch);
                 conn.out.extend_from_slice(&bytes);
                 conn.closing = true;
             }
@@ -1017,7 +1014,7 @@ struct MuxState {
     /// Encoded request frames waiting for the reactor thread to write.
     outbound: Vec<u8>,
     pending: PendingMap,
-    /// Protocol-7 request-direction symbol table.  Lives under the state
+    /// Request-direction symbol table.  Lives under the state
     /// lock so encode order always equals wire order: frames append to
     /// `outbound` in the same critical section that advances the table.
     tx: TxSymbols,
@@ -1032,13 +1029,13 @@ struct MuxShared {
     wake: WakePipe,
     dead: AtomicBool,
     window: u64,
-    /// Frame encoding negotiated for this connection (`BinaryDict` against
-    /// protocol-7 shards, plain `Binary` otherwise).
+    /// Frame encoding for this connection (`BinaryDict` unless the pool's
+    /// policy forces plain `Binary`).
     encoding: WireEncoding,
     counters: Arc<PoolCounters>,
 }
 
-/// A multiplexed client connection to a protocol-5 shard: many requests
+/// A multiplexed client connection to a windowed shard: many requests
 /// in flight at once, responses matched back by id, a credit window
 /// blocking submitters when the shard is saturated.
 ///
@@ -1089,11 +1086,11 @@ impl Multiplexer {
         let _ = stream.set_nodelay(true);
         let wake = WakePipe::new()?;
         // The connection's own `hello` goes out as its very first frame.
-        // The pool negotiated protocol and window on a *different*
-        // connection, and the shard tracks versions per connection: without
-        // this, a reactor-fronted shard would treat the mux connection as a
-        // pre-v5 FIFO peer — holding completions in request order and
-        // downgrading protocol-7 dictionary responses to plain binary.  Id
+        // The pool negotiated the window on a *different* connection, and
+        // the shard tracks the hello per connection: without this, a
+        // reactor-fronted shard would treat the mux connection as a FIFO
+        // peer — holding completions in request order and downgrading
+        // dictionary responses to plain binary.  Id
         // 0 is below `next_id`'s floor, so the `backends` answer falls into
         // the unknown-id drop path like any cancelled response.
         let mut outbound = Vec::new();
@@ -1545,8 +1542,8 @@ mod tests {
         queue_response(&mut conn, 10, vec![0xAA]);
         assert_eq!(conn.out, vec![0xAA, 0xBB]);
         assert!(conn.order.is_empty() && conn.fifo_done.is_empty());
-        // A protocol-5 peer skips the hold entirely.
-        conn.peer_protocol = PROTOCOL_VERSION;
+        // A peer that said hello skips the hold entirely.
+        conn.said_hello = true;
         queue_response(&mut conn, 12, vec![0xCC]);
         assert_eq!(conn.out, vec![0xAA, 0xBB, 0xCC]);
     }
@@ -1600,8 +1597,7 @@ mod tests {
             let mut scratch = Vec::new();
             let mut served = 0usize;
             loop {
-                let (id, request, encoding, _) = match read_request_frame(&mut stream, &mut scratch)
-                {
+                let (id, request, _, _) = match read_request_frame(&mut stream, &mut scratch) {
                     Ok(Some(frame)) => frame,
                     Ok(None) | Err(_) => return,
                 };
@@ -1618,8 +1614,7 @@ mod tests {
                         ring: None,
                         window: Some(1),
                     };
-                    if write_response_frame(&mut stream, id, &backends, encoding, &mut out).is_err()
-                    {
+                    if write_response_frame(&mut stream, id, &backends, &mut out).is_err() {
                         return;
                     }
                     continue;
@@ -1635,7 +1630,6 @@ mod tests {
                             &mut stream,
                             id,
                             &ShardResponse::Supported(true),
-                            encoding,
                             &mut out,
                         )
                         .is_err()

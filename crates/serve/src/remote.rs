@@ -25,13 +25,11 @@
 //! across evaluations (health-checked at checkout, re-dialled on transport
 //! error, never returned poisoned — see [`crate::pool`]), so the per-call
 //! TCP connect the first version of this layer paid is gone from the hot
-//! path.  On protocol ≥ 2 shards, [`RemoteBackend::evaluate_many`] sends a
-//! whole micro-batch of specs as **one** `evaluate_batch` wire exchange
-//! and the shard answers with one frame of results — the serving worker
-//! pools call `evaluate_many` with their share of each micro-batch, so
-//! batches formed by the client-side batcher cross the wire intact.
-//! Against version-1 shards the backend transparently falls back to
-//! per-spec exchanges (still pooled).
+//! path.  [`RemoteBackend::evaluate_many`] sends a whole micro-batch of
+//! specs as **one** `evaluate_batch` wire exchange and the shard answers
+//! with one frame of results — the serving worker pools call
+//! `evaluate_many` with their share of each micro-batch, so batches
+//! formed by the client-side batcher cross the wire intact.
 //!
 //! # Failure semantics
 //!
@@ -49,8 +47,8 @@ use crate::service::EvalService;
 use crate::shm::{self, Direction, Parker, RingConsumer, RingProducer, Segment};
 use crate::stats::ServiceStats;
 use crate::wire::{
-    decode_request_payload_dict, write_response_frame, write_response_frame_dict, FrameBuffer,
-    ShardRequest, ShardResponse, SharedResult, WireEncoding, WireError, LATENCY_STATS_PROTOCOL,
+    decode_request_payload_dict, version_mismatch, write_response_frame, write_response_frame_dict,
+    FrameBuffer, ShardRequest, ShardResponse, SharedResult, WireEncoding, WireError,
     PROTOCOL_VERSION,
 };
 use rsn_eval::{Backend, EvalError, EvalReport, WorkloadSpec};
@@ -103,7 +101,7 @@ impl ShardServer {
     /// [`bind`](Self::bind) with the front end forced: `Threads` serves
     /// each connection from its own blocking thread (strict FIFO, may
     /// offer shared-memory rings), `Reactor` serves every connection from
-    /// one nonblocking event-loop thread (protocol-5 multiplexing, never
+    /// one nonblocking event-loop thread (request multiplexing, never
     /// offers rings) — see [`crate::reactor`].
     pub fn bind_with_frontend(
         addr: &str,
@@ -256,10 +254,10 @@ impl Read for RingReader<'_> {
 /// timeout, or a transport error.  Each socket read drains *every*
 /// complete frame it delivered (a client's coalesced burst is answered as
 /// one burst: all evaluations submitted before any is waited on, all
-/// responses written back in one buffer).  Malformed frames are answered
-/// with a protocol-level rejection (id 0, since the request id never
-/// decoded) and the connection closes — after a framing error the stream
-/// position can no longer be trusted.  The idle bound
+/// responses written back in one buffer).  Malformed frames — a JSON
+/// document included — are answered with a plain binary rejection (id 0,
+/// since the request id never decoded) and the connection closes: after a
+/// framing error the stream position can no longer be trusted.  The idle bound
 /// ([`RemoteConfig::server_idle_timeout`]) reaps abandoned sockets (a peer
 /// that vanished without a FIN) so they cannot pin a server thread
 /// forever; pooled clients that idle past it transparently re-dial.
@@ -292,14 +290,11 @@ fn serve_connection(
     let mut out = Vec::new();
     let mut socket_frames = FrameBuffer::new();
     let mut ring: Option<ServerRing> = None;
-    // This connection's protocol-7 symbol dictionaries: `rx` resolves the
+    // This connection's symbol dictionaries: `rx` resolves the
     // client's label ids, `tx` defines ours.  One codec per connection —
     // the ring phase continues the socket phase's tables, because a ring
     // upgrade is the same connection on a different byte channel.
     let mut codec = ConnCodec::new();
-    // The peer's protocol version, learned from its hello.  Clients that
-    // skip the hello are assumed v1 — the conservative answer shape.
-    let mut peer_protocol: u64 = 1;
 
     // Socket phase: blocking reads with the idle timeout doing the
     // reaping, until (if ever) a hello negotiates a ring.
@@ -327,16 +322,7 @@ fn serve_connection(
                 Err(_) => return,
             }
         }
-        let responses = answer_burst(
-            service,
-            burst,
-            &remote,
-            &stream,
-            conn_id,
-            &mut ring,
-            &mut peer_protocol,
-            false,
-        );
+        let responses = answer_burst(service, burst, &remote, &stream, conn_id, &mut ring, false);
         out.clear();
         if encode_responses(&mut out, &responses, &mut scratch, &mut codec.tx).is_err() {
             return;
@@ -395,7 +381,6 @@ fn serve_connection(
                 &stream,
                 conn_id,
                 &mut ring,
-                &mut peer_protocol,
                 false,
             );
             out.clear();
@@ -416,14 +401,7 @@ fn serve_connection(
         if !ring_burst.is_empty() {
             progressed = true;
             let responses = answer_burst(
-                service,
-                ring_burst,
-                &remote,
-                &stream,
-                conn_id,
-                &mut ring,
-                &mut peer_protocol,
-                true,
+                service, ring_burst, &remote, &stream, conn_id, &mut ring, true,
             );
             out.clear();
             if encode_responses(&mut out, &responses, &mut scratch, &mut codec.tx).is_err() {
@@ -460,11 +438,11 @@ fn drain_burst(
     Ok(burst)
 }
 
-/// Best-effort rejection of a frame that never decoded: its encoding is
-/// unknown, so answer in JSON, which every protocol version reads.
+/// Best-effort rejection of a frame that never decoded, in the stateless
+/// plain binary image.
 fn reject_unframeable(stream: &mut TcpStream, error: &WireError, scratch: &mut Vec<u8>) {
     let rejection = ShardResponse::Rejected(error.to_string());
-    let _ = write_response_frame(stream, 0, &rejection, WireEncoding::Json, scratch);
+    let _ = write_response_frame(stream, 0, &rejection, scratch);
 }
 
 /// One request staged against the service: answered immediately, or
@@ -482,7 +460,9 @@ enum Staged {
 
 /// Answers a burst of decoded requests: stage everything (submitting all
 /// evaluations), then resolve in request order.  Responses carry the
-/// encoding each will be written in (`Auto` mirrors the request's).
+/// framing each will be written in: `Auto` mirrors the request's, so a
+/// dictionary frame gets a dictionary answer, and `BinaryNodict` pins
+/// plain binary.
 ///
 /// `inline` selects the shard's evaluation path: socket bursts fan out
 /// through the service's worker pools (the peer may be a different
@@ -490,7 +470,6 @@ enum Staged {
 /// construction same-host — evaluate on this thread, where queue
 /// hand-offs to a pool that shares cores with the client would only add
 /// context switches.
-#[allow(clippy::too_many_arguments)]
 fn answer_burst(
     service: &EvalService,
     burst: Vec<(u64, ShardRequest, WireEncoding)>,
@@ -498,42 +477,18 @@ fn answer_burst(
     stream: &TcpStream,
     conn_id: u64,
     ring: &mut Option<ServerRing>,
-    peer_protocol: &mut u64,
     inline: bool,
 ) -> Vec<(u64, ShardResponse, WireEncoding)> {
     let staged: Vec<(u64, Staged, WireEncoding)> = burst
         .into_iter()
         .map(|(id, request, request_encoding)| {
-            // `Auto` mirrors the request's encoding, so v1/v2 JSON clients,
-            // v3–v6 binary clients and v7 dictionary clients are each
-            // answered in what they speak; forcing `json` keeps a shard's
-            // answers human-readable.  `Binary` upgrades to dictionaries
-            // only when the request proves the peer resolves them, and
-            // `BinaryNodict` pins plain binary even then.
             let encoding = match remote.encoding {
                 EncodingPolicy::Auto => request_encoding,
-                EncodingPolicy::Json => WireEncoding::Json,
-                EncodingPolicy::Binary => {
-                    if request_encoding == WireEncoding::BinaryDict {
-                        WireEncoding::BinaryDict
-                    } else {
-                        WireEncoding::Binary
-                    }
-                }
                 EncodingPolicy::BinaryNodict => WireEncoding::Binary,
             };
             (
                 id,
-                stage(
-                    service,
-                    request,
-                    remote,
-                    stream,
-                    conn_id,
-                    ring,
-                    peer_protocol,
-                    inline,
-                ),
+                stage(service, request, remote, stream, conn_id, ring, inline),
                 encoding,
             )
         })
@@ -545,7 +500,6 @@ fn answer_burst(
 }
 
 /// Stages one decoded request against the hosted service.
-#[allow(clippy::too_many_arguments)]
 fn stage(
     service: &EvalService,
     request: ShardRequest,
@@ -553,12 +507,13 @@ fn stage(
     stream: &TcpStream,
     conn_id: u64,
     ring: &mut Option<ServerRing>,
-    peer_protocol: &mut u64,
     inline: bool,
 ) -> Staged {
     match request {
-        ShardRequest::Hello { protocol } => {
-            *peer_protocol = protocol.max(1);
+        ShardRequest::Hello { protocol } if protocol != PROTOCOL_VERSION => {
+            Staged::Now(ShardResponse::Rejected(version_mismatch(protocol)))
+        }
+        ShardRequest::Hello { .. } => {
             maybe_offer_ring(remote, stream, conn_id, ring);
             Staged::Now(ShardResponse::Backends {
                 names: service.backend_names().to_vec(),
@@ -566,9 +521,8 @@ fn stage(
                 ring: ring
                     .as_ref()
                     .map(|server_ring| server_ring.segment.path().display().to_string()),
-                // The blocking front end is strictly FIFO: whatever the
-                // client's protocol, no credit window is advertised, so v5
-                // clients fall back to sequential exchanges here.
+                // The blocking front end is strictly FIFO: no credit window
+                // is advertised, so clients keep sequential exchanges here.
                 window: None,
             })
         }
@@ -584,15 +538,7 @@ fn stage(
         ShardRequest::EvaluateBatch { backend, specs } => {
             submit(service, backend, specs, false, inline)
         }
-        ShardRequest::Stats => {
-            let mut stats = service.stats();
-            // Pre-v6 binary decoders reject the trailing per-class latency
-            // section, so strip it for peers that predate it.
-            if *peer_protocol < LATENCY_STATS_PROTOCOL {
-                stats.classes.clear();
-            }
-            Staged::Now(ShardResponse::Stats(stats))
-        }
+        ShardRequest::Stats => Staged::Now(ShardResponse::Stats(service.stats())),
         // Cancellation is a reactor-front-end feature; a client can only
         // send one here by ignoring the missing window in our hello.
         // Answer (rather than silently dropping) so the 1:1
@@ -846,9 +792,8 @@ pub struct RemoteBackend {
 impl RemoteBackend {
     /// Performs the `hello` handshake against a shard server and returns
     /// one `RemoteBackend` per backend it hosts, in the server's
-    /// registration order, all sharing one connection pool.  The handshake
-    /// also negotiates the shard's protocol version, enabling pipelined
-    /// `evaluate_batch` exchanges on version ≥ 2 shards.
+    /// registration order, all sharing one connection pool.  A shard
+    /// speaking another protocol version is refused here.
     pub fn connect_all(addr: &str) -> Result<Vec<RemoteBackend>, WireError> {
         Self::connect_all_with(addr, RemoteConfig::default())
     }
@@ -872,8 +817,8 @@ impl RemoteBackend {
     }
 
     /// A client for one named backend on a shard server (no handshake; the
-    /// name is trusted, and the protocol version is negotiated lazily on
-    /// the first batched evaluation).
+    /// name is trusted, and the hello runs lazily before the first
+    /// exchange).
     pub fn named(addr: &str, name: &str) -> RemoteBackend {
         Self::named_with(addr, name, RemoteConfig::default())
     }
@@ -904,8 +849,8 @@ impl RemoteBackend {
 
     /// Returns the backend with pipelining forced on or off.  With
     /// pipelining off, [`evaluate_many`](Backend::evaluate_many) always
-    /// falls back to per-spec exchanges — the serve benchmark uses this to
-    /// measure exactly what batching the wire exchanges is worth.
+    /// sends per-spec exchanges — the serve benchmark uses this to measure
+    /// exactly what batching the wire exchanges is worth.
     pub fn with_pipelining(mut self, pipelining: bool) -> Self {
         self.pipelining = pipelining;
         self
@@ -920,6 +865,14 @@ impl RemoteBackend {
     /// backend from the same [`connect_all`](Self::connect_all)).
     pub fn pool(&self) -> &Arc<ConnectionPool> {
         &self.pool
+    }
+
+    /// One exchange on the pool, saying hello first if nobody on this pool
+    /// has yet — so a shard speaking another protocol version fails the
+    /// very first evaluation with a transport error naming both versions.
+    fn exchange(&self, request: &ShardRequest) -> Result<ShardResponse, WireError> {
+        self.pool.negotiate()?;
+        self.pool.exchange(request)
     }
 
     fn transport_error(&self, error: &WireError) -> EvalError {
@@ -954,7 +907,7 @@ impl Backend for RemoteBackend {
     /// the [`EvalError::Transport`] if the caller proceeds anyway).
     fn supports(&self, workload: &WorkloadSpec) -> bool {
         matches!(
-            self.pool.exchange(&ShardRequest::Supports {
+            self.exchange(&ShardRequest::Supports {
                 backend: self.name.clone(),
                 spec: workload.clone(),
             }),
@@ -963,7 +916,7 @@ impl Backend for RemoteBackend {
     }
 
     fn evaluate(&self, workload: &WorkloadSpec) -> Result<EvalReport, EvalError> {
-        match self.pool.exchange(&ShardRequest::Evaluate {
+        match self.exchange(&ShardRequest::Evaluate {
             backend: self.name.clone(),
             spec: workload.clone(),
         }) {
@@ -978,25 +931,14 @@ impl Backend for RemoteBackend {
     }
 
     /// Pipelines a whole micro-batch into one `evaluate_batch` wire
-    /// exchange when the shard's protocol allows it, falling back to
-    /// per-spec exchanges (still pooled) against version-1 shards, when
-    /// pipelining is disabled, or for single-spec batches (where the
-    /// per-spec frame is the same size).
+    /// exchange; per-spec exchanges (still pooled) when pipelining is
+    /// disabled, or for single-spec batches (where the per-spec frame is
+    /// the same size).
     fn evaluate_many(&self, workloads: &[WorkloadSpec]) -> Vec<Result<EvalReport, EvalError>> {
-        let per_spec = || workloads.iter().map(|w| self.evaluate(w)).collect();
         if !self.pipelining || workloads.len() < 2 {
-            return per_spec();
+            return workloads.iter().map(|w| self.evaluate(w)).collect();
         }
-        if self.pool.protocol().is_none() {
-            // `named` clients skip the construction-time handshake;
-            // negotiate on first use.  A failed hello falls through to the
-            // per-spec path, which surfaces the transport error per result.
-            let _ = self.pool.hello();
-        }
-        if !self.pool.supports_batch() {
-            return per_spec();
-        }
-        match self.pool.exchange(&ShardRequest::EvaluateBatch {
+        match self.exchange(&ShardRequest::EvaluateBatch {
             backend: self.name.clone(),
             specs: workloads.to_vec(),
         }) {
@@ -1056,9 +998,9 @@ impl Backend for RemoteBackend {
     /// or ring write for all of them), then reads the responses in order.
     /// Results are handed through in the `Arc`s the wire decoder produced —
     /// the serving cache stores exactly those, so the burst path never
-    /// unwraps and re-boxes a report.  Falls back to sequential
-    /// [`Backend::evaluate_many`] calls when pipelining is off, the burst
-    /// is trivial, or the shard predates batch support.
+    /// unwraps and re-boxes a report.  Sequential
+    /// [`Backend::evaluate_many`] calls when pipelining is off or the burst
+    /// is trivial.
     fn evaluate_chunks_shared(&self, chunks: &[Vec<WorkloadSpec>]) -> Vec<Vec<SharedResult>> {
         let sequential = || {
             chunks
@@ -1074,13 +1016,6 @@ impl Backend for RemoteBackend {
         if !self.pipelining || chunks.len() < 2 {
             return sequential();
         }
-        if self.pool.protocol().is_none() {
-            // Negotiate on first use, exactly as `evaluate_many` does.
-            let _ = self.pool.hello();
-        }
-        if !self.pool.supports_batch() {
-            return sequential();
-        }
         let requests: Vec<ShardRequest> = chunks
             .iter()
             .map(|specs| ShardRequest::EvaluateBatch {
@@ -1088,7 +1023,11 @@ impl Backend for RemoteBackend {
                 specs: specs.clone(),
             })
             .collect();
-        match self.pool.exchange_burst(&requests) {
+        let responses = self
+            .pool
+            .negotiate()
+            .and_then(|()| self.pool.exchange_burst(&requests));
+        match responses {
             Ok(responses) => responses
                 .into_iter()
                 .zip(chunks)

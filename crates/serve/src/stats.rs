@@ -367,8 +367,8 @@ pub struct PoolStats {
     /// Specs carried by those exchanges.
     pub pipelined_specs: u64,
     /// Bytes this pool put on the wire (length prefixes included) — with
-    /// `bytes_received`, the observable difference between the JSON and
-    /// binary encodings.
+    /// `bytes_received`, the observable difference between dictionary and
+    /// plain binary frames.
     pub bytes_sent: u64,
     /// Bytes this pool took off the wire (length prefixes included).
     pub bytes_received: u64,
@@ -381,8 +381,8 @@ pub struct PoolStats {
     /// Times the pool's reactor thread was woken by socket readiness or a
     /// completion notification; zero when the pool runs blocking exchanges.
     pub reactor_wakeups: u64,
-    /// High-water mark of requests in flight on one multiplexed connection
-    /// (v5 only); zero for strict-FIFO peers.
+    /// High-water mark of requests in flight on one multiplexed
+    /// connection; zero for strict-FIFO peers.
     pub inflight_per_conn: u64,
     /// Hedge exchanges launched because an exchange on this pool outlived
     /// its hedge budget (the fleet layer re-issued the work against a
@@ -402,11 +402,11 @@ pub struct PoolStats {
     /// Routing decisions that skipped this pool because its breaker was
     /// open (the fast-fail path — no connection was attempted).
     pub breaker_fast_fails: u64,
-    /// Labels first-seen on protocol-7 connections and entered into a
+    /// Labels first-seen on a connection and entered into its
     /// per-connection symbol dictionary (each define costs one inline
     /// string on the wire; every later use is a bare varint id).
     pub dict_defines: u64,
-    /// Label occurrences resolved through a protocol-7 symbol dictionary
+    /// Label occurrences resolved through a symbol dictionary
     /// instead of re-sending the string bytes — the dictionary's saving.
     pub dict_hits: u64,
 }
@@ -464,9 +464,8 @@ pub struct ServiceStats {
     /// zero while the cache is unbounded.
     pub evictions: u64,
     /// Per-priority-class sojourn histograms and shed counts, one entry
-    /// per class in [`Priority::ALL`] order.  Empty when the snapshot came
-    /// from a peer that predates latency accounting (v1–v5 shards) — the
-    /// wire section is trailing-optional in both codecs.
+    /// per class in [`Priority::ALL`] order (empty in a default
+    /// snapshot).
     pub classes: Vec<ClassStats>,
     /// Per-backend-shard activity, in backend registration order.
     pub per_shard: Vec<ShardStats>,

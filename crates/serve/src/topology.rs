@@ -2,8 +2,7 @@
 //! hand-wired code.
 //!
 //! A topology file is a hand-rolled-JSON document (parsed with
-//! [`crate::json`], like everything else on the wire) declaring what a
-//! process should assemble:
+//! [`crate::json`]) declaring what a process should assemble:
 //!
 //! ```json
 //! {
@@ -25,7 +24,7 @@
 //!   "local": ["rsn-xnn", "roofline-bound"],
 //!   "remotes": [
 //!     {"addr": "10.0.0.7:7070", "weight": 2, "pool_size": 8},
-//!     {"addr": "10.0.0.8:7070", "encoding": "json"}
+//!     {"addr": "10.0.0.8:7070", "encoding": "binary_nodict"}
 //!   ],
 //!   "replicas": [
 //!     {
@@ -47,8 +46,9 @@
 //!   `hello` handshake, with an optional per-shard worker `weight`
 //!   (heavier shards get proportionally more client-side worker threads),
 //!   `pool_size` (connection-pool bound override), `encoding`
-//!   (`auto`/`json`/`binary`/`binary_nodict` wire-encoding override — force `json` on one
-//!   shard to debug its traffic while the fleet stays binary) and
+//!   (`auto`/`binary_nodict` framing override — force `binary_nodict` on
+//!   one shard to rule out the symbol dictionaries while the fleet keeps
+//!   them; the removed `json` and `binary` spellings are refused) and
 //!   `transport` (`auto`/`socket`/`shm` — whether the client accepts a
 //!   shard's shared-memory ring offer; see [`crate::shm`]);
 //! * `replicas` — replicated backend groups (see [`crate::fleet`]): each
@@ -98,10 +98,10 @@ pub struct RemoteShardDecl {
     /// Connection-pool bound override for this shard; `None` uses
     /// [`RemoteConfig::pool_size`].
     pub pool_size: Option<usize>,
-    /// Wire-encoding override for this shard; `None` uses
-    /// [`RemoteConfig::encoding`].  Force `json` on one shard to read its
-    /// traffic in a packet capture while the rest of the fleet stays
-    /// binary.
+    /// Framing override for this shard; `None` uses
+    /// [`RemoteConfig::encoding`].  Force `binary_nodict` on one shard to
+    /// rule out the symbol dictionaries while the rest of the fleet keeps
+    /// them.
     pub encoding: Option<EncodingPolicy>,
     /// Transport override for this shard; `None` uses
     /// [`RemoteConfig::transport`].  Force `socket` on one shard to keep
@@ -516,14 +516,12 @@ fn decode_transport(value: &JsonValue, ctx: &str) -> Result<TransportPolicy, Dec
     }
 }
 
-/// Decodes an `"auto"`/`"json"`/`"binary"`/`"binary_nodict"` encoding spelling.
+/// Decodes an `"auto"`/`"binary_nodict"` encoding spelling.
 fn decode_encoding(value: &JsonValue, ctx: &str) -> Result<EncodingPolicy, DecodeError> {
     match value {
-        JsonValue::Str(text) => EncodingPolicy::parse(text).ok_or_else(|| DecodeError {
+        JsonValue::Str(text) => EncodingPolicy::parse(text).map_err(|message| DecodeError {
             context: ctx.to_string(),
-            message: format!(
-                "`encoding`: unknown policy `{text}` (auto, json, binary or binary_nodict)"
-            ),
+            message: format!("`encoding`: {message}"),
         }),
         _ => Err(DecodeError {
             context: ctx.to_string(),
@@ -783,7 +781,7 @@ mod tests {
                     io_timeout: Duration::from_millis(12000),
                     pool_size: 6,
                     server_idle_timeout: Duration::from_millis(45000),
-                    encoding: EncodingPolicy::Binary,
+                    encoding: EncodingPolicy::BinaryNodict,
                     transport: TransportPolicy::Socket,
                     frontend: FrontendPolicy::Reactor,
                 },
@@ -794,7 +792,7 @@ mod tests {
                     addr: "10.0.0.7:7070".to_string(),
                     weight: 2,
                     pool_size: Some(8),
-                    encoding: Some(EncodingPolicy::Json),
+                    encoding: Some(EncodingPolicy::BinaryNodict),
                     transport: Some(TransportPolicy::Shm),
                 },
                 RemoteShardDecl::new("10.0.0.8:7070"),
@@ -846,6 +844,8 @@ mod tests {
             r#"{"remotes": [{}]}"#,
             r#"{"remotes": [{"addr": "x", "weight": "heavy"}]}"#,
             r#"{"remotes": [{"addr": "x", "encoding": "yaml"}]}"#,
+            r#"{"remotes": [{"addr": "x", "encoding": "json"}]}"#,
+            r#"{"service": {"remote": {"encoding": "binary"}}}"#,
             r#"{"remotes": [{"addr": "x", "transport": "pipe"}]}"#,
             r#"{"service": {"remote": {"encoding": 3}}}"#,
             r#"{"service": {"remote": {"transport": 3}}}"#,
@@ -868,6 +868,10 @@ mod tests {
             let doc = json::parse(text).expect("structurally valid JSON");
             assert!(topology_from_json(&doc).is_err(), "must reject {text}");
         }
+        // A removed encoding spelling says it was removed.
+        let doc = json::parse(r#"{"service": {"remote": {"encoding": "json"}}}"#).expect("parse");
+        let err = topology_from_json(&doc).expect_err("json encoding was removed");
+        assert!(err.message.contains("was removed"), "{err}");
     }
 
     #[test]

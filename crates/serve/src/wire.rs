@@ -1,78 +1,58 @@
-//! The shard wire protocol: length-prefixed frames (JSON or compact
-//! binary) and the typed request/response messages that cross them.
+//! The shard wire protocol: length-prefixed binary frames and the typed
+//! request/response messages that cross them.
 //!
 //! # Framing
 //!
 //! One frame is a 4-byte big-endian payload length followed by exactly that
-//! many payload bytes.  The payload's first byte selects the encoding:
-//! [`binary::MAGIC`] (`0xB3`) marks the protocol-3
-//! compact binary codec ([`crate::binary`]); anything else is UTF-8 JSON
-//! (the [`crate::json`] emitter's pretty form — deterministic, so a frame
-//! for a given message is byte-stable).  Receivers dispatch per frame, so
-//! mixed-encoding fleets interoperate without per-connection state.  Frames
-//! larger than [`MAX_FRAME_BYTES`] are rejected on both sides, bounding
-//! what a malformed or hostile peer can make the other side allocate.
+//! many payload bytes.  The payload's first byte selects the framing:
+//! [`binary::MAGIC`] (`0xB3`) marks a plain, stateless binary image and
+//! [`binary::DICT_MAGIC`] (`0xB7`) a frame that resolves labels against the
+//! connection's symbol dictionaries (see [`crate::binary`]).  Any other
+//! leading byte is not this protocol and is refused.  Frames larger than
+//! [`MAX_FRAME_BYTES`] are rejected on both sides, bounding what a
+//! malformed or hostile peer can make the other side allocate.
 //!
 //! # Messages
 //!
 //! Requests carry a client-chosen `id` that the response echoes, so a
-//! connection can be used for many sequential request/response exchanges
-//! (shown here in their JSON form):
+//! connection can be used for many request/response exchanges:
 //!
 //! ```text
-//! {"id": 1, "kind": "hello"}                      → backends + protocol version
-//! {"id": 2, "kind": "supports", "backend", "spec"} → {"supported": bool}
-//! {"id": 3, "kind": "evaluate", "backend", "spec"} → {"report"} | {"error"}
-//! {"id": 4, "kind": "evaluate_batch", "backend", "specs"} → {"results": [...]}
-//! {"id": 5, "kind": "stats"}                       → {"stats": {...}}
+//! hello { protocol }            → backends { names, protocol, ring, window }
+//! supports { backend, spec }    → supported(bool)
+//! evaluate { backend, spec }    → evaluated(report | error)
+//! evaluate_batch { backend, specs } → evaluated_batch([report | error, ...])
+//! stats                         → stats(ServiceStats)
+//! cancel { target }             → (no reply)
 //! ```
 //!
-//! An `"ok": false` response with a `"message"` reports a protocol-level
-//! failure (unparseable frame, unknown request kind, unknown backend name);
-//! evaluation failures are *domain* results and travel as structured
-//! [`EvalError`] documents inside an `"ok": true` response.
+//! A `rejected` response with a message reports a protocol-level failure
+//! (unframeable payload, unknown backend, a version mismatch); evaluation
+//! failures are *domain* results and travel as structured [`EvalError`]
+//! values inside an `evaluated` response.
 //!
-//! # Versioning and encoding negotiation
+//! # One protocol
 //!
-//! The hello response advertises the shard's [`PROTOCOL_VERSION`]; a
-//! response without the field is a version-1 shard.  `evaluate_batch`
-//! (one frame carrying a whole micro-batch of specs, answered by one frame
-//! of results in order) exists from version 2 — clients that handshook a
-//! version-1 shard fall back to per-spec `evaluate` exchanges, so old and
-//! new peers interoperate in both directions.
+//! Client and shard ship from one tree, so there is exactly one protocol,
+//! [`PROTOCOL_VERSION`], and nothing falls back.  The client opens with a
+//! binary `hello` carrying its version; a shard answers a different
+//! version with a `rejected` naming both, and a client refuses a `backends`
+//! answer that advertises another version the same way.  What the hello
+//! still negotiates is per connection, not per version: a same-host ring
+//! segment offer ([`crate::shm`]), a credit `window` for out-of-order
+//! multiplexing ([`crate::reactor`]), and the symbol dictionaries.
 //!
-//! Version 3 adds the binary codec.  Negotiation is one-sided and
-//! hello-driven: a client sends its `hello` in JSON (every version
-//! understands that), and switches to binary frames only after the
-//! response advertises protocol ≥ 3; servers answer every request in the
-//! encoding it arrived in (unless forced otherwise — see
-//! [`EncodingPolicy`](crate::config::EncodingPolicy)), so a v3 server
-//! transparently keeps speaking JSON to v1/v2 clients.
-//!
-//! Version 5 makes the negotiation two-sided for multiplexing: the client's
-//! `hello` now carries *its* protocol version (missing means a pre-v5
-//! client), and a reactor-fronted shard answering a v5 client advertises a
-//! per-connection credit `window` in the hello response.  Only when both
-//! halves are present may responses complete **out of order** (matched by
-//! the echoed request id) and may the client send `cancel` frames; against
-//! any older peer both sides keep the strict-FIFO one-response-per-request
-//! discipline, byte-identically to v4.
-//!
-//! Version 7 adds per-connection symbol dictionaries and bitmap-compact
-//! report framing ([`binary::DICT_MAGIC`], `0xB7`).  Unlike every earlier
-//! encoding, a dictionary frame reads and writes *connection state* — the
+//! A dictionary frame reads and writes *connection state* — the
 //! per-direction symbol tables that resolve label ids — so the stateless
 //! entry points here never emit or accept one: [`write_request_frame`]
 //! treats [`WireEncoding::BinaryDict`] as plain binary, and the plain
 //! decoders reject `0xB7` payloads outright.  Connection owners (the pool,
 //! the reactor, the threads front end) thread their
 //! [`binary::TxSymbols`]/[`binary::RxSymbols`] halves through the `_dict`
-//! variants instead.  Negotiation stays hello-driven: both sides must
-//! advertise ≥ 7 before either emits a dictionary frame, so a v7 client
-//! against a v6 shard produces byte-identical v6 framing.
+//! variants instead.
 
 use crate::binary;
-use crate::json::{self, DecodeError, JsonParseError, JsonValue};
+use crate::json::DecodeError;
 use crate::stats::ServiceStats;
 use rsn_eval::{EvalError, EvalReport, WorkloadSpec};
 use std::io::{Read, Write};
@@ -87,51 +67,26 @@ pub type SharedResult = Arc<Result<EvalReport, EvalError>>;
 /// document the service emits (a full-model report is a few tens of KiB).
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-/// The shard protocol version this build speaks.  Version 2 added the
-/// `evaluate_batch` exchange; version 3 added the compact binary codec
-/// ([`crate::binary`]); version 4 added shared-memory ring negotiation
-/// (the hello response may advertise a same-host ring segment path — see
-/// [`crate::shm`]) and extensible pool-counter records in binary stats
-/// documents; version 5 adds request multiplexing (client protocol in the
-/// hello request, a credit `window` in the hello response, out-of-order
-/// response completion matched by id, and the `cancel` frame — see
-/// [`crate::reactor`]); version 6 adds the trailing per-class latency
-/// section in stats documents ([`crate::stats::ClassStats`]); version 7
-/// adds per-connection symbol dictionaries and bitmap-compact report
-/// frames ([`crate::binary::DICT_MAGIC`]).  The hello exchange advertises
-/// the version both ways so each side can negotiate fallbacks against
-/// older peers.
+/// The shard protocol version this build speaks — the only one it
+/// accepts.  Both halves of the hello carry it, and a peer advertising any
+/// other version is refused with a [`ShardResponse::Rejected`] (server
+/// side) or a [`WireError::Rejected`] (client side) naming both.
 pub const PROTOCOL_VERSION: u64 = 7;
 
-/// The protocol version that introduced request multiplexing.  Capability
-/// checks for credit windows and out-of-order completion compare against
-/// this, not [`PROTOCOL_VERSION`] — a v5 peer keeps its credit window when
-/// talking to a v6 build.
-pub(crate) const MUX_PROTOCOL: u64 = 5;
+/// The message a version mismatch is refused with, naming both sides.
+pub(crate) fn version_mismatch(peer: u64) -> String {
+    format!("peer speaks shard protocol {peer}, this build speaks only {PROTOCOL_VERSION}")
+}
 
-/// The protocol version that introduced the per-class latency section in
-/// stats documents.  Servers clear `classes` from a stats snapshot before
-/// answering a peer older than this: pre-v6 binary decoders reject
-/// trailing bytes they do not know.
-pub(crate) const LATENCY_STATS_PROTOCOL: u64 = 6;
-
-/// The protocol version that introduced per-connection symbol dictionaries
-/// and bitmap report frames.  Both sides must advertise at least this
-/// before either may put a [`binary::DICT_MAGIC`] frame on the wire; any
-/// older peer gets byte-identical v6 framing.
-pub(crate) const DICT_PROTOCOL: u64 = 7;
-
-/// The encoding of one frame on the wire.
+/// The framing of one frame on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireEncoding {
-    /// Pretty-printed JSON (protocol ≤ 2, and the v3 debugging fallback).
-    Json,
-    /// The compact binary codec (protocol ≥ 3).
+    /// The plain, stateless binary image ([`binary::MAGIC`]).
     Binary,
     /// The binary codec with per-connection symbol dictionaries and bitmap
-    /// report frames (protocol ≥ 7).  Stateful: frames in this encoding
-    /// must travel through the `_dict` functions with the connection's
-    /// symbol tables; the stateless writers fall back to plain binary.
+    /// report frames ([`binary::DICT_MAGIC`]).  Stateful: frames in this
+    /// encoding must travel through the `_dict` functions with the
+    /// connection's symbol tables; the stateless writers emit plain binary.
     BinaryDict,
 }
 
@@ -145,11 +100,10 @@ pub enum WireError {
     /// (wider than `u32` so encode-side overflows report the real payload
     /// size instead of a saturated sentinel).
     FrameTooLarge(u64),
-    /// A frame's payload was not valid JSON.
-    Parse(JsonParseError),
-    /// A frame's JSON did not decode into the expected message.
+    /// A frame's payload did not decode into the expected message.
     Decode(DecodeError),
-    /// The peer answered with a protocol-level failure.
+    /// The peer answered with a protocol-level failure, or spoke another
+    /// protocol version.
     Rejected(String),
 }
 
@@ -163,7 +117,6 @@ impl std::fmt::Display for WireError {
                     "frame of {len} bytes exceeds the {MAX_FRAME_BYTES} byte bound"
                 )
             }
-            WireError::Parse(e) => write!(f, "malformed frame: {e}"),
             WireError::Decode(e) => write!(f, "unexpected frame: {e}"),
             WireError::Rejected(message) => write!(f, "peer rejected the request: {message}"),
         }
@@ -178,60 +131,10 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-impl From<JsonParseError> for WireError {
-    fn from(e: JsonParseError) -> Self {
-        WireError::Parse(e)
-    }
-}
-
 impl From<DecodeError> for WireError {
     fn from(e: DecodeError) -> Self {
         WireError::Decode(e)
     }
-}
-
-/// Writes one length-prefixed JSON frame.
-pub fn write_frame(writer: &mut impl Write, doc: &JsonValue) -> Result<(), WireError> {
-    let payload = doc.to_pretty();
-    if payload.len() as u64 > u64::from(MAX_FRAME_BYTES) {
-        return Err(WireError::FrameTooLarge(payload.len() as u64));
-    }
-    let len = payload.len() as u32;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload.as_bytes())?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// Reads one length-prefixed JSON frame.  A clean EOF *before* the length
-/// prefix returns `Ok(None)` (the peer closed an idle connection); EOF
-/// mid-frame is an error.
-pub fn read_frame(reader: &mut impl Read) -> Result<Option<JsonValue>, WireError> {
-    let mut prefix = [0u8; 4];
-    match reader.read(&mut prefix)? {
-        0 => return Ok(None),
-        mut filled => {
-            while filled < prefix.len() {
-                let n = reader.read(&mut prefix[filled..])?;
-                if n == 0 {
-                    return Err(WireError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed inside a frame length prefix",
-                    )));
-                }
-                filled += n;
-            }
-        }
-    }
-    let len = u32::from_be_bytes(prefix);
-    if len > MAX_FRAME_BYTES {
-        return Err(WireError::FrameTooLarge(u64::from(len)));
-    }
-    let mut payload = Vec::new();
-    read_exact_growing(reader, &mut payload, len as usize)?;
-    let text = String::from_utf8(payload)
-        .map_err(|e| WireError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
-    Ok(Some(json::parse(&text)?))
 }
 
 /// Reads one frame's payload bytes into `scratch` (cleared and reused — no
@@ -313,41 +216,44 @@ fn begin_frame(scratch: &mut Vec<u8>) {
     scratch.extend_from_slice(&[0u8; 4]);
 }
 
-/// Parses a JSON payload (already read off the wire) into a document.
-fn parse_json_payload(payload: &[u8]) -> Result<JsonValue, WireError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| WireError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
-    Ok(json::parse(text)?)
+/// The decode error for a payload the stateless decoders cannot read: a
+/// dictionary frame without connection state, or not a binary frame at
+/// all (a JSON document, a stray byte).
+fn unreadable(payload: &[u8], context: &str) -> WireError {
+    let message = match payload.first() {
+        Some(&binary::DICT_MAGIC) => {
+            "dictionary frame on a connection without dictionary state".to_string()
+        }
+        Some(byte) => format!(
+            "payload starting with byte {byte:#04x} is not a shard protocol \
+             {PROTOCOL_VERSION} binary frame"
+        ),
+        None => "empty payload".to_string(),
+    };
+    WireError::Decode(DecodeError {
+        context: context.to_string(),
+        message,
+    })
 }
 
-/// Writes one request frame in the given encoding, reusing `scratch` for
-/// the binary image.  Returns the bytes put on the wire.
+/// Writes one request frame, reusing `scratch` for the binary image.
+/// Stateless: [`WireEncoding::BinaryDict`] degrades to the plain image,
+/// which every peer decodes; dictionary frames go through
+/// [`write_request_frame_dict`].  Returns the bytes put on the wire.
 pub fn write_request_frame(
     writer: &mut impl Write,
     id: u64,
     request: &ShardRequest,
-    encoding: WireEncoding,
     scratch: &mut Vec<u8>,
 ) -> Result<u64, WireError> {
     begin_frame(scratch);
-    match encoding {
-        // Stateless entry point: without the connection's symbol tables,
-        // BinaryDict degrades to the plain image, which every ≥ v3 peer
-        // decodes.  Dictionary frames go through
-        // [`write_request_frame_dict`].
-        WireEncoding::Binary | WireEncoding::BinaryDict => {
-            binary::encode_request(scratch, id, request)
-        }
-        WireEncoding::Json => {
-            scratch.extend_from_slice(request.to_json(id).to_pretty().as_bytes());
-        }
-    }
+    binary::encode_request(scratch, id, request);
     write_framed(writer, scratch)
 }
 
 /// Writes one request frame against the connection's transmit-side symbol
-/// table.  Only meaningful with [`WireEncoding::BinaryDict`]; other
-/// encodings behave exactly like [`write_request_frame`] (the table is
+/// table.  Only meaningful with [`WireEncoding::BinaryDict`]; plain
+/// binary behaves exactly like [`write_request_frame`] (the table is
 /// untouched).  Returns the bytes put on the wire.
 pub fn write_request_frame_dict(
     writer: &mut impl Write,
@@ -358,32 +264,23 @@ pub fn write_request_frame_dict(
     tx: &mut binary::TxSymbols,
 ) -> Result<u64, WireError> {
     if encoding != WireEncoding::BinaryDict {
-        return write_request_frame(writer, id, request, encoding, scratch);
+        return write_request_frame(writer, id, request, scratch);
     }
     begin_frame(scratch);
     binary::encode_request_dict(scratch, id, request, tx);
     write_framed(writer, scratch)
 }
 
-/// Writes one response frame in the given encoding, reusing `scratch` for
-/// the binary image.  Returns the bytes put on the wire.
+/// Writes one plain binary response frame, reusing `scratch` for the
+/// image.  Returns the bytes put on the wire.
 pub fn write_response_frame(
     writer: &mut impl Write,
     id: u64,
     response: &ShardResponse,
-    encoding: WireEncoding,
     scratch: &mut Vec<u8>,
 ) -> Result<u64, WireError> {
     begin_frame(scratch);
-    match encoding {
-        // Stateless fallback — see [`write_request_frame`].
-        WireEncoding::Binary | WireEncoding::BinaryDict => {
-            binary::encode_response(scratch, id, response)
-        }
-        WireEncoding::Json => {
-            scratch.extend_from_slice(response.to_json(id).to_pretty().as_bytes());
-        }
-    }
+    binary::encode_response(scratch, id, response);
     write_framed(writer, scratch)
 }
 
@@ -398,17 +295,16 @@ pub fn write_response_frame_dict(
     tx: &mut binary::TxSymbols,
 ) -> Result<u64, WireError> {
     if encoding != WireEncoding::BinaryDict {
-        return write_response_frame(writer, id, response, encoding, scratch);
+        return write_response_frame(writer, id, response, scratch);
     }
     begin_frame(scratch);
     binary::encode_response_dict(scratch, id, response, tx);
     write_framed(writer, scratch)
 }
 
-/// Reads and decodes one request frame, dispatching on the payload's
-/// leading byte.  Returns the exchange id, the request, the encoding it
-/// arrived in (so servers can mirror it), and the bytes taken off the
-/// wire; `Ok(None)` is a clean EOF before the length prefix.
+/// Reads and decodes one plain request frame.  Returns the exchange id,
+/// the request, its encoding, and the bytes taken off the wire;
+/// `Ok(None)` is a clean EOF before the length prefix.
 pub fn read_request_frame(
     reader: &mut impl Read,
     scratch: &mut Vec<u8>,
@@ -421,31 +317,22 @@ pub fn read_request_frame(
     Ok(Some((id, request, encoding, bytes)))
 }
 
-/// Decodes one request payload (already stripped of its length prefix),
-/// dispatching on the leading byte.  The frame-draining server loop uses
-/// this directly on payloads extracted from a [`FrameBuffer`].
+/// Decodes one plain request payload (already stripped of its length
+/// prefix).  Dictionary frames and anything that is not a binary frame
+/// are refused.
 pub fn decode_request_payload(
     payload: &[u8],
 ) -> Result<(u64, ShardRequest, WireEncoding), WireError> {
-    if payload.first() == Some(&binary::DICT_MAGIC) {
-        return Err(WireError::Decode(DecodeError {
-            context: "ShardRequest".to_string(),
-            message: "dictionary frame on a connection without dictionary state".to_string(),
-        }));
+    if payload.first() != Some(&binary::MAGIC) {
+        return Err(unreadable(payload, "ShardRequest"));
     }
-    if payload.first() == Some(&binary::MAGIC) {
-        let (id, request) = binary::decode_request(payload)?;
-        Ok((id, request, WireEncoding::Binary))
-    } else {
-        let (id, request) = ShardRequest::from_json(&parse_json_payload(payload)?)?;
-        Ok((id, request, WireEncoding::Json))
-    }
+    let (id, request) = binary::decode_request(payload)?;
+    Ok((id, request, WireEncoding::Binary))
 }
 
 /// Decodes one request payload against the connection's receive-side
-/// symbol table, accepting all three encodings.  Frames that are not
-/// [`binary::DICT_MAGIC`] leave the table untouched — plain and dictionary
-/// frames interleave freely on a negotiated connection.
+/// symbol table, accepting both framings.  Plain frames leave the table
+/// untouched — plain and dictionary frames interleave freely.
 pub fn decode_request_payload_dict(
     payload: &[u8],
     rx: &mut binary::RxSymbols,
@@ -458,9 +345,9 @@ pub fn decode_request_payload_dict(
     }
 }
 
-/// Reads and decodes one response frame, dispatching on the payload's
-/// leading byte.  Returns the exchange id, the response and the bytes
-/// taken off the wire; `Ok(None)` is a clean EOF before the length prefix.
+/// Reads and decodes one plain response frame.  Returns the exchange id,
+/// the response and the bytes taken off the wire; `Ok(None)` is a clean
+/// EOF before the length prefix.
 pub fn read_response_frame(
     reader: &mut impl Read,
     scratch: &mut Vec<u8>,
@@ -475,7 +362,7 @@ pub fn read_response_frame(
 
 /// Reads and decodes one response frame against the connection's
 /// receive-side symbol table — the stateful counterpart of
-/// [`read_response_frame`] for dictionary-negotiated connections.
+/// [`read_response_frame`].
 pub fn read_response_frame_dict(
     reader: &mut impl Read,
     scratch: &mut Vec<u8>,
@@ -485,35 +372,23 @@ pub fn read_response_frame_dict(
         return Ok(None);
     }
     let bytes = scratch.len() as u64 + 4;
-    let (id, response) = if scratch.first() == Some(&binary::DICT_MAGIC) {
-        binary::decode_response_dict(scratch, rx)?
-    } else {
-        decode_response_payload(scratch)?
-    };
+    let (id, response) = decode_response_payload_dict(scratch, rx)?;
     Ok(Some((id, response, bytes)))
 }
 
-/// Decodes one response payload (already stripped of its length prefix),
-/// dispatching on the leading byte.  The client-side multiplexer uses this
-/// directly on payloads extracted from a [`FrameBuffer`], where responses
-/// arrive out of request order and are routed by id.
+/// Decodes one plain response payload (already stripped of its length
+/// prefix).  Dictionary frames and anything that is not a binary frame
+/// are refused.
 pub fn decode_response_payload(payload: &[u8]) -> Result<(u64, ShardResponse), WireError> {
-    if payload.first() == Some(&binary::DICT_MAGIC) {
-        return Err(WireError::Decode(DecodeError {
-            context: "ShardResponse".to_string(),
-            message: "dictionary frame on a connection without dictionary state".to_string(),
-        }));
+    if payload.first() != Some(&binary::MAGIC) {
+        return Err(unreadable(payload, "ShardResponse"));
     }
-    if payload.first() == Some(&binary::MAGIC) {
-        Ok(binary::decode_response(payload)?)
-    } else {
-        Ok(ShardResponse::from_json(&parse_json_payload(payload)?)?)
-    }
+    Ok(binary::decode_response(payload)?)
 }
 
 /// Decodes one response payload against the connection's receive-side
-/// symbol table, accepting all three encodings — the multiplexer's
-/// counterpart of [`decode_response_payload`].
+/// symbol table, accepting both framings — the multiplexer's counterpart
+/// of [`decode_response_payload`].
 pub fn decode_response_payload_dict(
     payload: &[u8],
     rx: &mut binary::RxSymbols,
@@ -602,12 +477,11 @@ impl FrameBuffer {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardRequest {
     /// "Which backends do you host?"  Carries the *client's* protocol
-    /// version (from v5 on; decoders default a missing field to 1), so a
-    /// reactor-fronted shard knows whether this connection may use
-    /// out-of-order completion and credits.
+    /// version; a shard refuses any version but its own.  On the reactor
+    /// front end the hello also opts the connection into out-of-order
+    /// completion and credits.
     Hello {
-        /// The client's [`PROTOCOL_VERSION`] (1 for pre-v5 peers, whose
-        /// hello carries no version field).
+        /// The client's [`PROTOCOL_VERSION`].
         protocol: u64,
     },
     /// "Can `backend` structurally evaluate `spec`?"
@@ -625,8 +499,7 @@ pub enum ShardRequest {
         spec: WorkloadSpec,
     },
     /// "Evaluate every spec on `backend`, answer once with every result."
-    /// One pipelined exchange per micro-batch instead of one per spec —
-    /// requires a version ≥ 2 shard (see [`PROTOCOL_VERSION`]).
+    /// One pipelined exchange per micro-batch instead of one per spec.
     EvaluateBatch {
         /// Backend shard name.
         backend: String,
@@ -639,155 +512,18 @@ pub enum ShardRequest {
     /// effort and fire-and-forget: the server sends no reply to a cancel,
     /// and may still answer the target if it already completed — the
     /// client resolves the waiter locally and tolerates the late response.
-    /// Only meaningful on a multiplexed (v5, windowed) connection.
+    /// Only meaningful on a multiplexed (windowed) connection.
     Cancel {
         /// The id of the in-flight request to abandon.
         target: u64,
     },
 }
 
-impl ShardRequest {
-    /// Encodes the request with its exchange id.
-    pub fn to_json(&self, id: u64) -> JsonValue {
-        let mut pairs = vec![("id".to_string(), JsonValue::Int(id))];
-        match self {
-            ShardRequest::Hello { protocol } => {
-                pairs.push(("kind".to_string(), JsonValue::Str("hello".to_string())));
-                // Pre-v5 decoders ignore unknown keys, so the client's
-                // version is invisible to old shards.
-                pairs.push(("protocol".to_string(), JsonValue::Int(*protocol)));
-            }
-            ShardRequest::Supports { backend, spec } => {
-                pairs.push(("kind".to_string(), JsonValue::Str("supports".to_string())));
-                pairs.push(("backend".to_string(), JsonValue::Str(backend.clone())));
-                pairs.push(("spec".to_string(), json::workload_spec_json(spec)));
-            }
-            ShardRequest::Evaluate { backend, spec } => {
-                pairs.push(("kind".to_string(), JsonValue::Str("evaluate".to_string())));
-                pairs.push(("backend".to_string(), JsonValue::Str(backend.clone())));
-                pairs.push(("spec".to_string(), json::workload_spec_json(spec)));
-            }
-            ShardRequest::EvaluateBatch { backend, specs } => {
-                pairs.push((
-                    "kind".to_string(),
-                    JsonValue::Str("evaluate_batch".to_string()),
-                ));
-                pairs.push(("backend".to_string(), JsonValue::Str(backend.clone())));
-                pairs.push((
-                    "specs".to_string(),
-                    JsonValue::Arr(specs.iter().map(json::workload_spec_json).collect()),
-                ));
-            }
-            ShardRequest::Stats => {
-                pairs.push(("kind".to_string(), JsonValue::Str("stats".to_string())));
-            }
-            ShardRequest::Cancel { target } => {
-                pairs.push(("kind".to_string(), JsonValue::Str("cancel".to_string())));
-                pairs.push(("target".to_string(), JsonValue::Int(*target)));
-            }
-        }
-        JsonValue::Obj(pairs)
-    }
-
-    /// Decodes a request frame into `(id, request)`.
-    pub fn from_json(doc: &JsonValue) -> Result<(u64, Self), DecodeError> {
-        const CTX: &str = "ShardRequest";
-        let id = match doc.get("id") {
-            Some(JsonValue::Int(id)) => *id,
-            _ => {
-                return Err(DecodeError {
-                    context: CTX.to_string(),
-                    message: "missing integer `id`".to_string(),
-                })
-            }
-        };
-        let kind = match doc.get("kind") {
-            Some(JsonValue::Str(kind)) => kind.as_str(),
-            _ => {
-                return Err(DecodeError {
-                    context: CTX.to_string(),
-                    message: "missing string `kind`".to_string(),
-                })
-            }
-        };
-        let backend_name = || -> Result<String, DecodeError> {
-            match doc.get("backend") {
-                Some(JsonValue::Str(name)) => Ok(name.clone()),
-                _ => Err(DecodeError {
-                    context: CTX.to_string(),
-                    message: "missing string `backend`".to_string(),
-                }),
-            }
-        };
-        let backend_and_spec = || -> Result<(String, WorkloadSpec), DecodeError> {
-            let backend = backend_name()?;
-            let spec = doc.get("spec").ok_or_else(|| DecodeError {
-                context: CTX.to_string(),
-                message: "missing `spec`".to_string(),
-            })?;
-            Ok((backend, json::workload_spec_from_json(spec)?))
-        };
-        let request = match kind {
-            // Pre-v5 clients hello without a version field.
-            "hello" => ShardRequest::Hello {
-                protocol: match doc.get("protocol") {
-                    Some(JsonValue::Int(version)) => *version,
-                    _ => 1,
-                },
-            },
-            "supports" => {
-                let (backend, spec) = backend_and_spec()?;
-                ShardRequest::Supports { backend, spec }
-            }
-            "evaluate" => {
-                let (backend, spec) = backend_and_spec()?;
-                ShardRequest::Evaluate { backend, spec }
-            }
-            "evaluate_batch" => {
-                let backend = backend_name()?;
-                let specs = match doc.get("specs") {
-                    Some(JsonValue::Arr(items)) => items
-                        .iter()
-                        .map(json::workload_spec_from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => {
-                        return Err(DecodeError {
-                            context: CTX.to_string(),
-                            message: "missing array `specs`".to_string(),
-                        })
-                    }
-                };
-                ShardRequest::EvaluateBatch { backend, specs }
-            }
-            "stats" => ShardRequest::Stats,
-            "cancel" => ShardRequest::Cancel {
-                target: match doc.get("target") {
-                    Some(JsonValue::Int(target)) => *target,
-                    _ => {
-                        return Err(DecodeError {
-                            context: CTX.to_string(),
-                            message: "missing integer `target`".to_string(),
-                        })
-                    }
-                },
-            },
-            other => {
-                return Err(DecodeError {
-                    context: CTX.to_string(),
-                    message: format!("unknown request kind `{other}`"),
-                })
-            }
-        };
-        Ok((id, request))
-    }
-}
-
 /// One answer a shard server sends back.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardResponse {
     /// The backends this shard hosts, in registration order, and the
-    /// protocol version the shard speaks (1 when the peer predates the
-    /// version field).
+    /// protocol version the shard speaks.
     Backends {
         /// Hosted backend names, in registration order.
         names: Vec<String>,
@@ -795,14 +531,14 @@ pub enum ShardResponse {
         protocol: u64,
         /// Path of a shared-memory ring segment this connection may switch
         /// to (see [`crate::shm`]); `None` when the shard does not offer
-        /// one (different host, transport disabled, or a pre-v4 peer).
+        /// one (different host, transport disabled, or the reactor front
+        /// end).
         ring: Option<String>,
         /// Per-connection credit window for multiplexed requests: how many
         /// requests may be in flight on this connection at once, answered
         /// out of order and cancellable.  `None` when the connection stays
-        /// strict-FIFO (a pre-v5 peer on either side, or a thread-frontend
-        /// shard).  Advertising a window is the server's "multiplexing is
-        /// on" signal.
+        /// strict-FIFO (a thread-frontend shard).  Advertising a window is
+        /// the server's "multiplexing is on" signal.
         window: Option<u64>,
     },
     /// Whether the asked backend supports the asked spec.
@@ -816,178 +552,9 @@ pub enum ShardResponse {
     EvaluatedBatch(Vec<SharedResult>),
     /// The shard's service statistics.
     Stats(ServiceStats),
-    /// A protocol-level rejection (unknown backend/kind, malformed frame).
+    /// A protocol-level rejection (unknown backend, malformed frame, a
+    /// protocol version mismatch).
     Rejected(String),
-}
-
-impl ShardResponse {
-    /// Encodes the response, echoing the request's exchange id.
-    pub fn to_json(&self, id: u64) -> JsonValue {
-        let ok = !matches!(self, ShardResponse::Rejected(_));
-        let mut pairs = vec![
-            ("id".to_string(), JsonValue::Int(id)),
-            ("ok".to_string(), JsonValue::Bool(ok)),
-        ];
-        match self {
-            ShardResponse::Backends {
-                names,
-                protocol,
-                ring,
-                window,
-            } => {
-                pairs.push((
-                    "backends".to_string(),
-                    JsonValue::Arr(names.iter().map(|n| JsonValue::Str(n.clone())).collect()),
-                ));
-                pairs.push(("protocol".to_string(), JsonValue::Int(*protocol)));
-                // Emitted only when offered; pre-v4 decoders ignore unknown
-                // keys, so the field is invisible to them either way.
-                if let Some(path) = ring {
-                    pairs.push(("ring".to_string(), JsonValue::Str(path.clone())));
-                }
-                // Same story for the v5 credit window.
-                if let Some(credits) = window {
-                    pairs.push(("window".to_string(), JsonValue::Int(*credits)));
-                }
-            }
-            ShardResponse::Supported(supported) => {
-                pairs.push(("supported".to_string(), JsonValue::Bool(*supported)));
-            }
-            ShardResponse::Evaluated(result) => match result.as_ref() {
-                Ok(report) => pairs.push(("report".to_string(), json::report_json(report))),
-                Err(error) => pairs.push(("error".to_string(), json::error_json(error))),
-            },
-            ShardResponse::EvaluatedBatch(results) => {
-                pairs.push((
-                    "results".to_string(),
-                    JsonValue::Arr(
-                        results
-                            .iter()
-                            .map(|result| match result.as_ref() {
-                                Ok(report) => JsonValue::Obj(vec![(
-                                    "report".to_string(),
-                                    json::report_json(report),
-                                )]),
-                                Err(error) => JsonValue::Obj(vec![(
-                                    "error".to_string(),
-                                    json::error_json(error),
-                                )]),
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            ShardResponse::Stats(stats) => {
-                pairs.push(("stats".to_string(), json::stats_json(stats)));
-            }
-            ShardResponse::Rejected(message) => {
-                pairs.push(("message".to_string(), JsonValue::Str(message.clone())));
-            }
-        }
-        JsonValue::Obj(pairs)
-    }
-
-    /// Decodes a response frame into `(id, response)`.
-    pub fn from_json(doc: &JsonValue) -> Result<(u64, Self), DecodeError> {
-        const CTX: &str = "ShardResponse";
-        let id = match doc.get("id") {
-            Some(JsonValue::Int(id)) => *id,
-            _ => {
-                return Err(DecodeError {
-                    context: CTX.to_string(),
-                    message: "missing integer `id`".to_string(),
-                })
-            }
-        };
-        if let Some(JsonValue::Bool(false)) = doc.get("ok") {
-            let message = match doc.get("message") {
-                Some(JsonValue::Str(m)) => m.clone(),
-                _ => "unspecified peer failure".to_string(),
-            };
-            return Ok((id, ShardResponse::Rejected(message)));
-        }
-        let response = if let Some(backends) = doc.get("backends") {
-            let names = match backends {
-                JsonValue::Arr(items) => items
-                    .iter()
-                    .map(|item| match item {
-                        JsonValue::Str(s) => Ok(s.clone()),
-                        _ => Err(DecodeError {
-                            context: CTX.to_string(),
-                            message: "backend names must be strings".to_string(),
-                        }),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => {
-                    return Err(DecodeError {
-                        context: CTX.to_string(),
-                        message: "`backends` must be an array".to_string(),
-                    })
-                }
-            };
-            // Version-1 shards predate the `protocol` field.
-            let protocol = match doc.get("protocol") {
-                Some(JsonValue::Int(version)) => *version,
-                _ => 1,
-            };
-            // Pre-v4 shards never advertise a ring segment.
-            let ring = match doc.get("ring") {
-                Some(JsonValue::Str(path)) => Some(path.clone()),
-                _ => None,
-            };
-            // Pre-v5 shards never advertise a credit window.
-            let window = match doc.get("window") {
-                Some(JsonValue::Int(credits)) => Some(*credits),
-                _ => None,
-            };
-            ShardResponse::Backends {
-                names,
-                protocol,
-                ring,
-                window,
-            }
-        } else if let Some(JsonValue::Bool(supported)) = doc.get("supported") {
-            ShardResponse::Supported(*supported)
-        } else if let Some(report) = doc.get("report") {
-            ShardResponse::Evaluated(Arc::new(Ok(json::report_from_json(report)?)))
-        } else if let Some(error) = doc.get("error") {
-            ShardResponse::Evaluated(Arc::new(Err(json::error_from_json(error)?)))
-        } else if let Some(results) = doc.get("results") {
-            let results = match results {
-                JsonValue::Arr(items) => items
-                    .iter()
-                    .map(|item| {
-                        if let Some(report) = item.get("report") {
-                            Ok(Arc::new(Ok(json::report_from_json(report)?)))
-                        } else if let Some(error) = item.get("error") {
-                            Ok(Arc::new(Err(json::error_from_json(error)?)))
-                        } else {
-                            Err(DecodeError {
-                                context: CTX.to_string(),
-                                message: "batch result carries neither `report` nor `error`"
-                                    .to_string(),
-                            })
-                        }
-                    })
-                    .collect::<Result<Vec<SharedResult>, DecodeError>>()?,
-                _ => {
-                    return Err(DecodeError {
-                        context: CTX.to_string(),
-                        message: "`results` must be an array".to_string(),
-                    })
-                }
-            };
-            ShardResponse::EvaluatedBatch(results)
-        } else if let Some(stats) = doc.get("stats") {
-            ShardResponse::Stats(json::stats_from_json(stats)?)
-        } else {
-            return Err(DecodeError {
-                context: CTX.to_string(),
-                message: "response carries no recognised payload".to_string(),
-            });
-        };
-        Ok((id, response))
-    }
 }
 
 #[cfg(test)]
@@ -996,39 +563,23 @@ mod tests {
     use std::io::Cursor;
 
     #[test]
-    fn frames_round_trip_over_a_buffer() {
-        let doc = ShardRequest::Evaluate {
-            backend: "rsn-xnn".to_string(),
-            spec: WorkloadSpec::SquareGemm { n: 1024 },
-        }
-        .to_json(7);
-        let mut buffer = Vec::new();
-        write_frame(&mut buffer, &doc).expect("write frame");
-        // 4-byte prefix holds the payload length.
-        let payload_len = u32::from_be_bytes(buffer[..4].try_into().unwrap());
-        assert_eq!(payload_len as usize, buffer.len() - 4);
-        let read = read_frame(&mut Cursor::new(&buffer)).expect("read frame");
-        assert_eq!(read, Some(doc.clone()));
-        // Exchange round trip.
-        let (id, request) = ShardRequest::from_json(&doc).expect("decode request");
-        assert_eq!(id, 7);
-        assert!(matches!(request, ShardRequest::Evaluate { .. }));
-    }
-
-    #[test]
     fn clean_eof_is_none_but_midframe_eof_is_an_error() {
-        assert!(matches!(read_frame(&mut Cursor::new(&[])), Ok(None)));
+        let mut scratch = Vec::new();
+        assert!(matches!(
+            read_request_frame(&mut Cursor::new(&[]), &mut scratch),
+            Ok(None)
+        ));
         // A length prefix promising more bytes than follow.
         let mut truncated = Vec::new();
         truncated.extend_from_slice(&100u32.to_be_bytes());
         truncated.extend_from_slice(b"short");
         assert!(matches!(
-            read_frame(&mut Cursor::new(&truncated)),
+            read_request_frame(&mut Cursor::new(&truncated), &mut scratch),
             Err(WireError::Io(_))
         ));
         // Prefix itself truncated.
         assert!(matches!(
-            read_frame(&mut Cursor::new(&[0u8, 0])),
+            read_request_frame(&mut Cursor::new(&[0u8, 0]), &mut scratch),
             Err(WireError::Io(_))
         ));
     }
@@ -1038,160 +589,62 @@ mod tests {
         let mut huge = Vec::new();
         huge.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_be_bytes());
         assert!(matches!(
-            read_frame(&mut Cursor::new(&huge)),
+            read_response_frame(&mut Cursor::new(&huge), &mut Vec::new()),
             Err(WireError::FrameTooLarge(_))
         ));
     }
 
     #[test]
-    fn malformed_payload_is_a_parse_error_with_position() {
-        let payload = b"{\"id\": oops}";
-        let mut buffer = Vec::new();
-        buffer.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        buffer.extend_from_slice(payload);
-        match read_frame(&mut Cursor::new(&buffer)) {
-            Err(WireError::Parse(e)) => {
-                assert_eq!((e.line, e.column), (1, 8));
-            }
-            other => panic!("expected a parse error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn every_request_and_response_round_trips() {
-        let requests = [
-            ShardRequest::Hello {
-                protocol: PROTOCOL_VERSION,
-            },
-            ShardRequest::Supports {
-                backend: "alpha".to_string(),
-                spec: WorkloadSpec::PowerBreakdown,
-            },
-            ShardRequest::Evaluate {
-                backend: "beta".to_string(),
-                spec: WorkloadSpec::FunctionalGemm {
-                    m: 8,
-                    k: 4,
-                    n: 8,
-                    seed: 3,
-                },
-            },
-            ShardRequest::EvaluateBatch {
-                backend: "gamma".to_string(),
-                specs: vec![
-                    WorkloadSpec::SquareGemm { n: 64 },
-                    WorkloadSpec::PowerBreakdown,
-                ],
-            },
-            ShardRequest::Stats,
-            ShardRequest::Cancel { target: 41 },
-        ];
-        for (id, request) in requests.into_iter().enumerate() {
-            let doc = request.to_json(id as u64);
-            assert_eq!(
-                ShardRequest::from_json(&doc).expect("request decodes"),
-                (id as u64, request)
-            );
-        }
-        let responses = [
-            ShardResponse::Backends {
-                names: vec!["a".to_string(), "b".to_string()],
-                protocol: PROTOCOL_VERSION,
-                ring: None,
-                window: None,
-            },
-            ShardResponse::Backends {
-                names: vec!["a".to_string()],
-                protocol: PROTOCOL_VERSION,
-                ring: Some("/dev/shm/rsn-ring-test".to_string()),
-                window: None,
-            },
-            ShardResponse::Backends {
-                names: vec!["a".to_string()],
-                protocol: PROTOCOL_VERSION,
-                ring: None,
-                window: Some(64),
-            },
-            ShardResponse::Supported(true),
-            ShardResponse::Evaluated(Arc::new(Ok(EvalReport::new("a", "w")))),
-            ShardResponse::Evaluated(Arc::new(Err(EvalError::Unsupported {
-                backend: "a".to_string(),
-                workload: "w".to_string(),
-            }))),
-            ShardResponse::EvaluatedBatch(vec![
-                Arc::new(Ok(EvalReport::new("a", "w1"))),
-                Arc::new(Err(EvalError::Unsupported {
-                    backend: "a".to_string(),
-                    workload: "w2".to_string(),
-                })),
-            ]),
-            ShardResponse::Stats(ServiceStats::default()),
-            ShardResponse::Rejected("unknown backend `zeta`".to_string()),
-        ];
-        for (id, response) in responses.into_iter().enumerate() {
-            let doc = response.to_json(id as u64);
-            assert_eq!(
-                ShardResponse::from_json(&doc).expect("response decodes"),
-                (id as u64, response)
-            );
-        }
-    }
-
-    #[test]
-    fn typed_frames_dispatch_on_the_magic_byte() {
+    fn typed_frames_round_trip_and_count_their_bytes() {
         let request = ShardRequest::Evaluate {
             backend: "rsn-xnn".to_string(),
             spec: WorkloadSpec::SquareGemm { n: 2048 },
         };
         let mut scratch = Vec::new();
-        for encoding in [WireEncoding::Json, WireEncoding::Binary] {
-            let mut buffer = Vec::new();
-            let sent = write_request_frame(&mut buffer, 11, &request, encoding, &mut scratch)
-                .expect("write request");
-            assert_eq!(sent as usize, buffer.len());
-            let (id, decoded, seen, received) =
-                read_request_frame(&mut Cursor::new(&buffer), &mut scratch)
-                    .expect("read request")
-                    .expect("not EOF");
-            assert_eq!((id, seen, received), (11, encoding, sent));
-            assert_eq!(decoded, request);
-        }
+        let mut buffer = Vec::new();
+        let sent =
+            write_request_frame(&mut buffer, 11, &request, &mut scratch).expect("write request");
+        assert_eq!(sent as usize, buffer.len());
+        // The 4-byte prefix holds the payload length.
+        let payload_len = u32::from_be_bytes(buffer[..4].try_into().unwrap());
+        assert_eq!(payload_len as usize, buffer.len() - 4);
+        let (id, decoded, seen, received) =
+            read_request_frame(&mut Cursor::new(&buffer), &mut scratch)
+                .expect("read request")
+                .expect("not EOF");
+        assert_eq!((id, seen, received), (11, WireEncoding::Binary, sent));
+        assert_eq!(decoded, request);
+
         let response = ShardResponse::Evaluated(Arc::new(Ok(EvalReport::new("rsn-xnn", "w"))));
-        for encoding in [WireEncoding::Json, WireEncoding::Binary] {
-            let mut buffer = Vec::new();
-            let sent = write_response_frame(&mut buffer, 7, &response, encoding, &mut scratch)
-                .expect("write response");
-            let (id, decoded, received) =
-                read_response_frame(&mut Cursor::new(&buffer), &mut scratch)
-                    .expect("read response")
-                    .expect("not EOF");
-            assert_eq!((id, received), (7, sent));
-            assert_eq!(decoded, response);
+        let mut buffer = Vec::new();
+        let sent =
+            write_response_frame(&mut buffer, 7, &response, &mut scratch).expect("write response");
+        let (id, decoded, received) = read_response_frame(&mut Cursor::new(&buffer), &mut scratch)
+            .expect("read response")
+            .expect("not EOF");
+        assert_eq!((id, received), (7, sent));
+        assert_eq!(decoded, response);
+    }
+
+    #[test]
+    fn json_payloads_are_refused_naming_the_protocol() {
+        let payload = br#"{"id": 1, "kind": "hello"}"#;
+        for outcome in [
+            decode_request_payload(payload).map(|_| ()),
+            decode_response_payload(payload).map(|_| ()),
+        ] {
+            match outcome {
+                Err(WireError::Decode(e)) => {
+                    assert!(e.message.contains("0x7b"), "{e}");
+                    assert!(e.message.contains(&PROTOCOL_VERSION.to_string()), "{e}");
+                }
+                other => panic!("expected a decode error, got {other:?}"),
+            }
         }
-        // Binary frames are dramatically smaller than their JSON form.
-        let mut json_buf = Vec::new();
-        let mut bin_buf = Vec::new();
-        write_response_frame(
-            &mut json_buf,
-            1,
-            &response,
-            WireEncoding::Json,
-            &mut scratch,
-        )
-        .expect("json");
-        write_response_frame(
-            &mut bin_buf,
-            1,
-            &response,
-            WireEncoding::Binary,
-            &mut scratch,
-        )
-        .expect("binary");
+        let mismatch = version_mismatch(6);
         assert!(
-            bin_buf.len() * 2 < json_buf.len(),
-            "binary {} vs json {}",
-            bin_buf.len(),
-            json_buf.len()
+            mismatch.contains('6') && mismatch.contains('7'),
+            "{mismatch}"
         );
     }
 
@@ -1279,51 +732,6 @@ mod tests {
             .expect("plain frame through the dict decoder");
         assert_eq!((id, seen), (9, WireEncoding::Binary));
         assert_eq!(decoded, ShardRequest::Stats);
-    }
-
-    #[test]
-    fn hello_without_protocol_field_is_a_version_one_shard() {
-        // What a pre-versioning shard emitted: backends, no protocol.
-        let doc = JsonValue::Obj(vec![
-            ("id".to_string(), JsonValue::Int(9)),
-            ("ok".to_string(), JsonValue::Bool(true)),
-            (
-                "backends".to_string(),
-                JsonValue::Arr(vec![JsonValue::Str("rsn-xnn".to_string())]),
-            ),
-        ]);
-        match ShardResponse::from_json(&doc).expect("legacy hello decodes") {
-            (
-                9,
-                ShardResponse::Backends {
-                    names,
-                    protocol,
-                    ring,
-                    window,
-                },
-            ) => {
-                assert_eq!(names, ["rsn-xnn"]);
-                assert_eq!(protocol, 1, "missing field must mean version 1");
-                assert_eq!(ring, None, "pre-v4 shards never offer a ring");
-                assert_eq!(window, None, "pre-v5 shards never offer a window");
-            }
-            other => panic!("unexpected decode: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn hello_without_client_protocol_is_a_version_one_client() {
-        // What a pre-v5 client sends: id and kind, no version field.
-        let doc = JsonValue::Obj(vec![
-            ("id".to_string(), JsonValue::Int(1)),
-            ("kind".to_string(), JsonValue::Str("hello".to_string())),
-        ]);
-        match ShardRequest::from_json(&doc).expect("legacy hello decodes") {
-            (1, ShardRequest::Hello { protocol }) => {
-                assert_eq!(protocol, 1, "missing field must mean version 1");
-            }
-            other => panic!("unexpected decode: {other:?}"),
-        }
     }
 
     #[test]

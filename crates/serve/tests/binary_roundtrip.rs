@@ -7,10 +7,9 @@
 //!
 //! * **binary identity** — `binary::decode(binary::encode(x)) == x`,
 //!   exactly (the binary codec preserves every value bit);
-//! * **binary ≡ JSON** — decoding the same document through the binary
-//!   codec and through the JSON emit→parse→decode pipeline yields equal
-//!   typed values, so the two encodings are semantically interchangeable
-//!   on the wire (frames may mix freely within one connection).
+//! * **same emitted text** — the decoded document renders the same
+//!   [`rsn_serve::json`] text as the original, byte for byte, so what an
+//!   operator or a snapshot reads is unchanged by a trip across the wire.
 
 use rsn_eval::{BreakdownRow, CycleStats, EvalError, EvalReport, SchedulerKind, WorkloadSpec};
 use rsn_lib::mapping::MappingType;
@@ -257,8 +256,8 @@ fn random_stats(rng: &mut u64) -> ServiceStats {
                 dict_hits: lcg(rng) % 1_000_000,
             })
             .collect(),
-        // Roughly half the sweep has a populated per-class section (the
-        // v6 trailing-optional addition), the rest the empty v5 shape.
+        // Roughly half the sweep has a populated per-class section, the
+        // rest the empty shape (the section is then absent on the wire).
         classes: if lcg(rng).is_multiple_of(2) {
             Priority::ALL
                 .iter()
@@ -334,6 +333,40 @@ fn random_response(rng: &mut u64) -> ShardResponse {
 const SEED: u64 = 0xB1_AB1E_5EED;
 const SWEEP: u64 = 400;
 
+/// The JSON text of one domain result (report or structured error).
+fn result_text(result: &Result<EvalReport, EvalError>) -> String {
+    match result {
+        Ok(report) => json::report_json(report).to_pretty(),
+        Err(error) => json::error_json(error).to_pretty(),
+    }
+}
+
+/// The JSON text of the documents a request carries (its specs).
+fn request_docs_text(request: &ShardRequest) -> String {
+    match request {
+        ShardRequest::Supports { spec, .. } | ShardRequest::Evaluate { spec, .. } => {
+            json::workload_spec_json(spec).to_pretty()
+        }
+        ShardRequest::EvaluateBatch { specs, .. } => specs
+            .iter()
+            .map(|spec| json::workload_spec_json(spec).to_pretty())
+            .collect(),
+        _ => String::new(),
+    }
+}
+
+/// The JSON text of the documents a response carries (results, stats).
+fn response_docs_text(response: &ShardResponse) -> String {
+    match response {
+        ShardResponse::Evaluated(result) => result_text(result),
+        ShardResponse::EvaluatedBatch(results) => {
+            results.iter().map(|result| result_text(result)).collect()
+        }
+        ShardResponse::Stats(stats) => json::stats_json(stats).to_pretty(),
+        _ => String::new(),
+    }
+}
+
 #[test]
 fn specs_round_trip_identically_and_match_json() {
     let mut rng = SEED;
@@ -345,12 +378,11 @@ fn specs_round_trip_identically_and_match_json() {
         let decoded =
             binary::decode_spec(&scratch).unwrap_or_else(|e| panic!("seed {SEED:#x} doc {i}: {e}"));
         assert_eq!(decoded, spec, "seed {SEED:#x} doc {i}");
-        // JSON pipeline agrees.
-        let via_json = json::workload_spec_from_json(
-            &json::parse(&json::workload_spec_json(&spec).to_pretty()).expect("parses"),
-        )
-        .expect("json decodes");
-        assert_eq!(via_json, decoded, "seed {SEED:#x} doc {i}");
+        assert_eq!(
+            json::workload_spec_json(&decoded).to_pretty(),
+            json::workload_spec_json(&spec).to_pretty(),
+            "seed {SEED:#x} doc {i}"
+        );
     }
 }
 
@@ -365,11 +397,11 @@ fn reports_round_trip_identically_and_match_json() {
         let decoded = binary::decode_report(&scratch)
             .unwrap_or_else(|e| panic!("seed {SEED:#x} doc {i}: {e}"));
         assert_eq!(decoded, report, "seed {SEED:#x} doc {i}");
-        let via_json = json::report_from_json(
-            &json::parse(&json::report_json(&report).to_pretty()).expect("parses"),
-        )
-        .expect("json decodes");
-        assert_eq!(via_json, decoded, "seed {SEED:#x} doc {i}");
+        assert_eq!(
+            json::report_json(&decoded).to_pretty(),
+            json::report_json(&report).to_pretty(),
+            "seed {SEED:#x} doc {i}"
+        );
     }
 }
 
@@ -384,17 +416,20 @@ fn errors_and_results_round_trip_identically_and_match_json() {
         let decoded = binary::decode_error(&scratch)
             .unwrap_or_else(|e| panic!("seed {SEED:#x} doc {i}: {e}"));
         assert_eq!(decoded, error, "seed {SEED:#x} doc {i}");
-        let via_json =
-            json::error_from_json(&json::parse(&json::error_json(&error).to_pretty()).unwrap())
-                .expect("json decodes");
-        assert_eq!(via_json, decoded, "seed {SEED:#x} doc {i}");
+        assert_eq!(
+            json::error_json(&decoded).to_pretty(),
+            json::error_json(&error).to_pretty(),
+            "seed {SEED:#x} doc {i}"
+        );
 
         let result = random_result(&mut rng);
         scratch.clear();
         binary::encode_result(&mut scratch, &result);
+        let decoded = binary::decode_result(&scratch).expect("result decodes");
+        assert_eq!(decoded, result, "seed {SEED:#x} doc {i}");
         assert_eq!(
-            binary::decode_result(&scratch).expect("result decodes"),
-            result,
+            result_text(&decoded),
+            result_text(&result),
             "seed {SEED:#x} doc {i}"
         );
     }
@@ -411,10 +446,11 @@ fn stats_round_trip_identically_and_match_json() {
         let decoded = binary::decode_stats(&scratch)
             .unwrap_or_else(|e| panic!("seed {SEED:#x} doc {i}: {e}"));
         assert_eq!(decoded, stats, "seed {SEED:#x} doc {i}");
-        let via_json =
-            json::stats_from_json(&json::parse(&json::stats_json(&stats).to_pretty()).unwrap())
-                .expect("json decodes");
-        assert_eq!(via_json, decoded, "seed {SEED:#x} doc {i}");
+        assert_eq!(
+            json::stats_json(&decoded).to_pretty(),
+            json::stats_json(&stats).to_pretty(),
+            "seed {SEED:#x} doc {i}"
+        );
     }
 }
 
@@ -427,15 +463,17 @@ fn whole_messages_round_trip_identically_and_match_json() {
         let request = random_request(&mut rng);
         scratch.clear();
         binary::encode_request(&mut scratch, id, &request);
+        let (bin_id, bin_request) = binary::decode_request(&scratch).expect("request decodes");
         assert_eq!(
-            binary::decode_request(&scratch).expect("request decodes"),
-            (id, request.clone()),
+            (bin_id, &bin_request),
+            (id, &request),
             "seed {SEED:#x} doc {i}"
         );
-        let via_json =
-            ShardRequest::from_json(&json::parse(&request.to_json(id).to_pretty()).unwrap())
-                .expect("json decodes");
-        assert_eq!(via_json, (id, request), "seed {SEED:#x} doc {i}");
+        assert_eq!(
+            request_docs_text(&bin_request),
+            request_docs_text(&request),
+            "seed {SEED:#x} doc {i}"
+        );
 
         let response = random_response(&mut rng);
         scratch.clear();
@@ -446,10 +484,11 @@ fn whole_messages_round_trip_identically_and_match_json() {
             (id, &response),
             "seed {SEED:#x} doc {i}"
         );
-        let via_json =
-            ShardResponse::from_json(&json::parse(&response.to_json(id).to_pretty()).unwrap())
-                .expect("json decodes");
-        assert_eq!(via_json, (id, bin_response), "seed {SEED:#x} doc {i}");
+        assert_eq!(
+            response_docs_text(&bin_response),
+            response_docs_text(&response),
+            "seed {SEED:#x} doc {i}"
+        );
     }
 }
 
@@ -484,8 +523,7 @@ fn ring_frames_survive_wraparound_byte_identically() {
     for _ in 0..64 {
         let id = lcg(&mut rng) % 1_000_000;
         let request = random_request(&mut rng);
-        write_request_frame(&mut wire, id, &request, WireEncoding::Binary, &mut scratch)
-            .expect("encode");
+        write_request_frame(&mut wire, id, &request, &mut scratch).expect("encode");
         requests.push((id, request));
     }
     // Push the burst through the tiny ring in ragged chunks, draining only
@@ -534,7 +572,6 @@ fn torn_length_prefixes_and_hostile_lengths_never_hang_or_panic() {
         &mut wire,
         7,
         &ShardRequest::Hello { protocol: 5 },
-        WireEncoding::Binary,
         &mut scratch,
     )
     .expect("encode");
@@ -573,7 +610,7 @@ fn garbage_payloads_decode_to_errors_never_panics() {
     for _ in 0..SWEEP {
         let len = (lcg(&mut rng) % 64) as usize;
         let mut payload: Vec<u8> = (0..len).map(|_| (lcg(&mut rng) & 0xFF) as u8).collect();
-        // Whatever the leading byte selects (JSON or binary), hostile
+        // Whatever the leading byte is (binary magic or not), hostile
         // bytes must decode to an error, never a panic.
         let _ = decode_request_payload(&payload);
         if !payload.is_empty() {
@@ -692,12 +729,13 @@ fn interner_deduplicates_repeated_names_into_shared_arcs() {
 fn binary_images_are_deterministic_and_compact() {
     let mut rng = SEED ^ 5;
     for _ in 0..32 {
-        let response = ShardResponse::Evaluated(shared(Ok(random_report(&mut rng))));
+        let report = random_report(&mut rng);
+        let json_len = json::report_json(&report).to_pretty().len();
+        let response = ShardResponse::Evaluated(shared(Ok(report)));
         let (mut a, mut b) = (Vec::new(), Vec::new());
         binary::encode_response(&mut a, 3, &response);
         binary::encode_response(&mut b, 3, &response);
         assert_eq!(a, b, "same document, same bytes");
-        let json_len = response.to_json(3).to_pretty().len();
         assert!(
             a.len() < json_len,
             "binary ({}) must undercut JSON ({})",

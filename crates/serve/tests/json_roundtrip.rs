@@ -1,21 +1,18 @@
-//! Round-trip guarantees of the `rsn_serve::json` wire format.
+//! Round-trip guarantees of the `rsn_serve::json` emitter and parser.
 //!
 //! For every document the service emits — reports, grids, workload specs,
-//! errors, stats — these tests pin both directions:
-//!
-//! * **typed**: `decode(parse(emit(x))) == x` (NaN-valued floats aside,
-//!   which have no JSON form and are asserted explicitly), and
-//! * **textual**: `emit(parse(s)) == s` byte-identically for every emitted
-//!   `s`, which is what makes the framed wire format and the snapshot
-//!   files stable across a process hop.
+//! errors, stats — these tests pin `emit(parse(s)) == s` byte-identically
+//! for every emitted `s`, which is what makes snapshot files and emitted
+//! documents diffable.  Topology files additionally round-trip typed:
+//! `decode(parse(emit(t))) == t`.
 
 use rsn_eval::{
     BreakdownRow, CycleStats, EvalError, EvalReport, SchedulerKind, SegmentMetric, WorkloadSpec,
 };
 use rsn_lib::mapping::MappingType;
 use rsn_serve::json::{
-    self, error_json, grid_json, grid_json_named, parse, report_json, result_json, stats_json,
-    workload_spec_json, JsonValue,
+    error_json, grid_json, parse, report_json, result_json, stats_json, workload_spec_json,
+    JsonValue,
 };
 use rsn_serve::topology::{topology_from_json, topology_json};
 use rsn_serve::{
@@ -74,23 +71,18 @@ fn rich_report() -> EvalReport {
 }
 
 #[test]
-fn report_round_trips_typed_and_textual() {
-    let report = rich_report();
-    let parsed = assert_emit_stable(&report_json(&report));
-    let decoded = json::report_from_json(&parsed).expect("report decodes");
-    assert_eq!(decoded, report);
+fn report_round_trips_textually() {
+    assert_emit_stable(&report_json(&rich_report()));
 }
 
 #[test]
 fn empty_report_round_trips() {
     // Empty segment/breakdown arrays and metric maps, all scalars absent.
-    let report = EvalReport::new("b", "w");
-    let parsed = assert_emit_stable(&report_json(&report));
-    assert_eq!(json::report_from_json(&parsed).expect("decodes"), report);
+    assert_emit_stable(&report_json(&EvalReport::new("b", "w")));
 }
 
 #[test]
-fn non_finite_floats_emit_null_and_decode_as_absent_or_nan() {
+fn non_finite_floats_emit_null() {
     let mut report = EvalReport::new("b", "w");
     report.latency_s = Some(f64::NAN);
     report.achieved_flops = Some(f64::INFINITY);
@@ -99,14 +91,7 @@ fn non_finite_floats_emit_null_and_decode_as_absent_or_nan() {
     assert!(text.contains("\"latency_s\": null"));
     assert!(text.contains("\"achieved_flops\": null"));
     assert!(text.contains("\"nan_metric\": null"));
-    let parsed = assert_emit_stable(&report_json(&report));
-    let decoded = json::report_from_json(&parsed).expect("decodes");
-    // Optional scalars lose the distinction between "absent" and
-    // "non-finite" (both are null on the wire)...
-    assert_eq!(decoded.latency_s, None);
-    assert_eq!(decoded.achieved_flops, None);
-    // ...while required float slots decode null back to NaN.
-    assert!(decoded.metrics["nan_metric"].is_nan());
+    assert_emit_stable(&report_json(&report));
 }
 
 #[test]
@@ -141,15 +126,12 @@ fn every_workload_spec_round_trips() {
         WorkloadSpec::ScalarPipeline { elements: 300 },
     ];
     for spec in specs {
-        let parsed = assert_emit_stable(&workload_spec_json(&spec));
-        let decoded = json::workload_spec_from_json(&parsed)
-            .unwrap_or_else(|e| panic!("spec must decode: {e}"));
-        assert_eq!(decoded, spec, "spec round trip");
+        assert_emit_stable(&workload_spec_json(&spec));
     }
 }
 
 #[test]
-fn every_eval_error_round_trips_structurally_or_by_display() {
+fn every_eval_error_round_trips_textually() {
     let exact = [
         EvalError::Unsupported {
             backend: "gpu T4".to_string(),
@@ -174,16 +156,20 @@ fn every_eval_error_round_trips_structurally_or_by_display() {
         },
     ];
     for error in exact {
-        let parsed = assert_emit_stable(&error_json(&error));
-        assert_eq!(json::error_from_json(&parsed).expect("decodes"), error);
+        assert_emit_stable(&error_json(&error));
     }
-    // Engine errors carry rsn-core payloads that do not cross the wire:
-    // they decode as `Remote` but preserve their display text exactly.
+    // Engine errors carry rsn-core payloads with no JSON form: they emit
+    // as a `remote` node carrying their display text exactly.
     let engine = EvalError::Engine(rsn_core::error::RsnError::StepLimitExceeded { limit: 10 });
     let parsed = assert_emit_stable(&error_json(&engine));
-    let decoded = json::error_from_json(&parsed).expect("decodes");
-    assert_eq!(decoded.to_string(), engine.to_string());
-    assert!(matches!(decoded, EvalError::Remote { .. }));
+    assert_eq!(
+        parsed.get("kind"),
+        Some(&JsonValue::Str("remote".to_string()))
+    );
+    assert_eq!(
+        parsed.get("message"),
+        Some(&JsonValue::Str(engine.to_string()))
+    );
 }
 
 #[test]
@@ -215,14 +201,14 @@ fn grid_documents_round_trip_byte_identically() {
         ],
         &grid,
     );
-    let text = doc.to_pretty();
-    let decoded = json::grid_from_json(&assert_emit_stable(&doc)).expect("grid decodes");
-    assert_eq!(decoded.backends, ["alpha", "beta"]);
-    assert_eq!(decoded.workloads, ["gemm 64^3", "power-breakdown"]);
-    assert_eq!(decoded.reports[0][0], grid[0][0]);
-    // Error entries decode to `Remote` but re-emit the original text.
-    let reemitted = grid_json_named(&decoded.backends, &decoded.workloads, &decoded.reports);
-    assert_eq!(reemitted.to_pretty(), text);
+    let parsed = assert_emit_stable(&doc);
+    assert_eq!(
+        parsed.get("workloads"),
+        Some(&JsonValue::Arr(vec![
+            JsonValue::Str("gemm 64^3".to_string()),
+            JsonValue::Str("power-breakdown".to_string()),
+        ]))
+    );
 }
 
 #[test]
@@ -233,10 +219,13 @@ fn result_json_of_errors_is_the_flat_string_form() {
     };
     let doc = result_json(&Err(error.clone()));
     let parsed = assert_emit_stable(&doc);
-    match json::result_from_json(&parsed).expect("decodes") {
-        Err(EvalError::Remote { message }) => assert_eq!(message, error.to_string()),
-        other => panic!("expected a remote error, got {other:?}"),
-    }
+    assert_eq!(
+        parsed,
+        JsonValue::Obj(vec![(
+            "error".to_string(),
+            JsonValue::Str(error.to_string())
+        )])
+    );
 }
 
 #[test]
@@ -303,33 +292,9 @@ fn stats_round_trip_including_per_shard_counters() {
             })
             .collect(),
     };
-    let parsed = assert_emit_stable(&stats_json(&stats));
-    assert_eq!(json::stats_from_json(&parsed).expect("decodes"), stats);
+    assert_emit_stable(&stats_json(&stats));
     // And the empty default (empty per_shard/remote_pools arrays).
-    let empty = ServiceStats::default();
-    let parsed = assert_emit_stable(&stats_json(&empty));
-    assert_eq!(json::stats_from_json(&parsed).expect("decodes"), empty);
-}
-
-#[test]
-fn stats_without_pool_counters_decode_as_a_version_one_shard() {
-    // What a pre-pooling shard emits: no `remote_pools` field at all.
-    let legacy = r#"{
-  "submitted": 1,
-  "completed": 1,
-  "batches": 1,
-  "batched_requests": 1,
-  "cache_hits": 0,
-  "cache_misses": 1,
-  "inflight_merged": 0,
-  "evaluations": 1,
-  "eval_errors": 0,
-  "evictions": 0,
-  "per_shard": []
-}"#;
-    let decoded = json::stats_from_json(&parse(legacy).expect("parses")).expect("decodes");
-    assert!(decoded.remote_pools.is_empty());
-    assert_eq!(decoded.submitted, 1);
+    assert_emit_stable(&stats_json(&ServiceStats::default()));
 }
 
 #[test]
@@ -352,7 +317,7 @@ fn topology_round_trips_typed_and_textual() {
                 io_timeout: std::time::Duration::from_millis(15000),
                 pool_size: 8,
                 server_idle_timeout: std::time::Duration::from_millis(30000),
-                encoding: rsn_serve::EncodingPolicy::Json,
+                encoding: rsn_serve::EncodingPolicy::BinaryNodict,
                 transport: rsn_serve::TransportPolicy::Shm,
                 frontend: rsn_serve::FrontendPolicy::Reactor,
             },
@@ -363,7 +328,7 @@ fn topology_round_trips_typed_and_textual() {
                 addr: "10.0.0.7:7070".to_string(),
                 weight: 2,
                 pool_size: Some(16),
-                encoding: Some(rsn_serve::EncodingPolicy::Binary),
+                encoding: Some(rsn_serve::EncodingPolicy::BinaryNodict),
                 transport: Some(rsn_serve::TransportPolicy::Socket),
             },
             RemoteShardDecl::new("10.0.0.8:7070"),

@@ -1,5 +1,5 @@
 //! Loopback integration tests of the epoll reactor front end and the
-//! protocol-5 multiplexed client.
+//! multiplexed client.
 //!
 //! The tests pin the contract the reactor exists for:
 //!
@@ -10,8 +10,9 @@
 //! * a `cancel` frame suppresses the target's response and frees its
 //!   credit slot without wedging the connection;
 //! * one reactor thread serves **≥256 concurrent connections**;
-//! * a v5 client against a v4-only shard falls back to strict FIFO,
-//!   byte-identically, and never emits a cancel frame;
+//! * a connection that never said hello is answered in request order;
+//! * a hello naming another version, or a JSON frame, is refused with a
+//!   binary `rejected` (the JSON one also closes the connection);
 //! * killing a reactor shard mid-stream yields prompt
 //!   [`EvalError::Transport`] errors, never hangs.
 
@@ -19,16 +20,15 @@ use rsn_eval::{Backend, CharmBackend, EvalError, Evaluator, WorkloadSpec, XnnAna
 use rsn_serve::json::grid_json;
 use rsn_serve::remote::ShardServer;
 use rsn_serve::wire::{
-    decode_request_payload, decode_response_payload, write_request_frame, write_response_frame,
-    FrameBuffer, ShardRequest, ShardResponse, WireEncoding, PROTOCOL_VERSION,
+    decode_response_payload, write_request_frame, FrameBuffer, ShardRequest, ShardResponse,
+    PROTOCOL_VERSION,
 };
 use rsn_serve::{
     BackendSelector, EvalService, FrontendPolicy, Priority, RemoteConfig, ServiceConfig,
     ShardRouter,
 };
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn reactor_config(workers: usize) -> ServiceConfig {
@@ -76,7 +76,7 @@ impl Backend for StaggeredSquare {
     }
 }
 
-/// A raw protocol-5 wire client: hand-written frames over one socket, so
+/// A raw wire client: hand-written frames over one socket, so
 /// the tests control request ids and observe completion order directly.
 struct RawClient {
     stream: TcpStream,
@@ -100,14 +100,8 @@ impl RawClient {
     }
 
     fn send(&mut self, id: u64, request: &ShardRequest) {
-        write_request_frame(
-            &mut self.stream,
-            id,
-            request,
-            WireEncoding::Binary,
-            &mut self.scratch,
-        )
-        .expect("send request frame");
+        write_request_frame(&mut self.stream, id, request, &mut self.scratch)
+            .expect("send request frame");
     }
 
     fn recv(&mut self) -> (u64, ShardResponse) {
@@ -143,7 +137,7 @@ impl RawClient {
             } => {
                 assert_eq!(protocol, PROTOCOL_VERSION);
                 assert_eq!(ring, None, "the reactor never offers shm rings");
-                window.expect("v5 peers are offered a credit window")
+                window.expect("a hello is offered a credit window")
             }
             other => panic!("expected a Backends hello answer, got {other:?}"),
         }
@@ -188,7 +182,7 @@ fn reactor_grid_is_byte_identical_to_in_process() {
         .clone();
     assert!(
         pool.reactor_wakeups > 0,
-        "the v5 client must multiplex against a reactor shard: {pool:?}"
+        "the client must multiplex against a reactor shard: {pool:?}"
     );
     assert_eq!(pool.ring_exchanges, 0, "reactor shards offer no ring");
     assert!(server.ring_segments().is_empty());
@@ -199,7 +193,7 @@ fn reactor_grid_is_byte_identical_to_in_process() {
     // strict-FIFO default.
     assert!(
         pool.dict_defines > 2 && pool.dict_hits > 0,
-        "protocol-7 mux must carry symbol dictionaries in both directions: {pool:?}"
+        "the mux must carry symbol dictionaries in both directions: {pool:?}"
     );
 }
 
@@ -233,7 +227,7 @@ fn one_multiplexed_connection_completes_out_of_order() {
     let (first_id, first) = client.recv();
     assert_eq!(
         first_id, 3,
-        "the fast request must overtake the slow one on a v5 connection"
+        "the fast request must overtake the slow one on a windowed connection"
     );
     assert!(matches!(first, ShardResponse::Evaluated(ref r) if r.is_ok()));
     assert!(
@@ -348,112 +342,6 @@ fn one_reactor_thread_serves_hundreds_of_concurrent_connections() {
 }
 
 #[test]
-fn v5_client_against_v4_shard_stays_strict_fifo_byte_identically() {
-    // A hand-built protocol-4 shard: binary-capable, batch-capable, but
-    // strictly one-answer-per-question in arrival order, no window in its
-    // hello, and no idea what a cancel frame is.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind v4 shard");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let cancel_frames = Arc::new(AtomicU64::new(0));
-    let seen_cancels = Arc::clone(&cancel_frames);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            let seen_cancels = Arc::clone(&seen_cancels);
-            std::thread::spawn(move || {
-                let backend = XnnAnalyticBackend::new();
-                let mut frames = FrameBuffer::new();
-                let mut payload = Vec::new();
-                let mut scratch = Vec::new();
-                loop {
-                    match frames.take_frame(&mut payload) {
-                        Ok(true) => {}
-                        Ok(false) => match frames.fill(&mut stream) {
-                            Ok(0) | Err(_) => return,
-                            Ok(_) => continue,
-                        },
-                        Err(_) => return,
-                    }
-                    let Ok((id, request, encoding)) = decode_request_payload(&payload) else {
-                        return;
-                    };
-                    let response = match request {
-                        ShardRequest::Hello { .. } => ShardResponse::Backends {
-                            names: vec!["rsn-xnn".to_string()],
-                            protocol: 4,
-                            ring: None,
-                            window: None,
-                        },
-                        ShardRequest::Cancel { .. } => {
-                            seen_cancels.fetch_add(1, Ordering::SeqCst);
-                            continue;
-                        }
-                        ShardRequest::Evaluate { spec, .. } => {
-                            ShardResponse::Evaluated(Arc::new(backend.evaluate(&spec)))
-                        }
-                        ShardRequest::EvaluateBatch { specs, .. } => ShardResponse::EvaluatedBatch(
-                            specs
-                                .iter()
-                                .map(|spec| Arc::new(backend.evaluate(spec)))
-                                .collect(),
-                        ),
-                        ShardRequest::Supports { spec, .. } => {
-                            ShardResponse::Supported(backend.supports(&spec))
-                        }
-                        ShardRequest::Stats => {
-                            ShardResponse::Rejected("no stats on protocol 4".to_string())
-                        }
-                    };
-                    // Strict FIFO: every answer goes out in arrival order.
-                    if write_response_frame(&mut stream, id, &response, encoding, &mut scratch)
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    let service = ShardRouter::new()
-        .remote(&addr)
-        .expect("v4 shard reachable")
-        .build()
-        .expect("unique names");
-    let specs: Vec<WorkloadSpec> = (1..=12usize)
-        .map(|n| WorkloadSpec::SquareGemm { n: n * 96 })
-        .collect();
-    let grid = service.evaluate_grid(&specs);
-
-    // Byte-identical emission through the strict-FIFO fallback.
-    let local = Evaluator::empty().with_backend(Box::new(XnnAnalyticBackend::new()));
-    assert_eq!(
-        grid_json(&["rsn-xnn".to_string()], &specs, &grid).to_pretty(),
-        grid_json(
-            &["rsn-xnn".to_string()],
-            &specs,
-            &local.evaluate_grid(&specs)
-        )
-        .to_pretty(),
-        "v4 fallback grid must be byte-identical"
-    );
-
-    // No window was negotiated, so the client never multiplexed — and it
-    // never sent the old shard a frame it cannot parse.
-    let pool = service.stats().pool(&addr).expect("pool").clone();
-    assert_eq!(
-        pool.reactor_wakeups, 0,
-        "a v4 peer must keep the client on blocking FIFO exchanges: {pool:?}"
-    );
-    assert_eq!(pool.inflight_per_conn, 0, "no multiplexed depth: {pool:?}");
-    assert_eq!(
-        cancel_frames.load(Ordering::SeqCst),
-        0,
-        "cancel frames must never reach a v4 shard"
-    );
-}
-
-#[test]
 fn killed_reactor_shard_yields_transport_errors_not_hangs() {
     let server = reactor_server(
         Evaluator::empty().with_backend(Box::new(XnnAnalyticBackend::new())),
@@ -500,4 +388,82 @@ fn killed_reactor_shard_yields_transport_errors_not_hangs() {
             "slot {slot} of the dead-reactor burst resolved to {result:?}"
         );
     }
+}
+
+#[test]
+fn a_connection_without_hello_is_answered_in_request_order() {
+    // A blocking pool connection that never said hello (`pool_size: 0`
+    // dials, or a burst on a connection whose hello went elsewhere) reads
+    // answers sequentially: the reactor must hold a fast completion behind
+    // the slow request submitted before it.
+    let server = reactor_server(
+        Evaluator::empty().with_backend(Box::new(StaggeredSquare)),
+        2,
+    );
+    let mut client = RawClient::connect(&server.local_addr().to_string());
+    for (id, n) in [(1, 300), (2, 1)] {
+        client.send(
+            id,
+            &ShardRequest::Evaluate {
+                backend: "stagger".to_string(),
+                spec: WorkloadSpec::SquareGemm { n },
+            },
+        );
+    }
+    for expected in [1, 2] {
+        let (id, response) = client.recv();
+        assert_eq!(id, expected, "answers must leave in request order");
+        assert!(matches!(response, ShardResponse::Evaluated(ref r) if r.is_ok()));
+    }
+}
+
+#[test]
+fn reactor_refuses_another_protocol_version_naming_both() {
+    let server = reactor_server(paper_backends(), 1);
+    let mut client = RawClient::connect(&server.local_addr().to_string());
+    client.send(5, &ShardRequest::Hello { protocol: 6 });
+    match client.recv() {
+        (5, ShardResponse::Rejected(message)) => {
+            assert!(message.contains("protocol 6"), "{message}");
+            assert!(
+                message.contains(&format!("only {PROTOCOL_VERSION}")),
+                "{message}"
+            );
+        }
+        other => panic!("expected a version refusal, got {other:?}"),
+    }
+    // The refused connection stays strict FIFO and still answers.
+    client.send(6, &ShardRequest::Stats);
+    assert!(matches!(client.recv(), (6, ShardResponse::Stats(_))));
+}
+
+#[test]
+fn reactor_refuses_json_frames_in_binary_and_closes() {
+    let server = reactor_server(paper_backends(), 1);
+    let mut client = RawClient::connect(&server.local_addr().to_string());
+    let json = br#"{"id":1,"kind":"hello"}"#;
+    client
+        .stream
+        .write_all(&(json.len() as u32).to_be_bytes())
+        .expect("write prefix");
+    client.stream.write_all(json).expect("write payload");
+    // `recv` decodes the answer as a binary frame.
+    match client.recv() {
+        (0, ShardResponse::Rejected(message)) => {
+            assert!(
+                message.contains(&format!("protocol {PROTOCOL_VERSION}")),
+                "{message}"
+            );
+        }
+        other => panic!("expected a binary rejection, got {other:?}"),
+    }
+    let mut byte = [0u8; 1];
+    match client.stream.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the reactor to close the connection, got {other:?}"),
+    }
+    // The reactor itself is unharmed.
+    let mut fresh = RawClient::connect(&server.local_addr().to_string());
+    assert!(fresh.hello(1) > 0);
 }

@@ -9,6 +9,9 @@
 //!   and no poisoned cache entry (each retry re-evaluates);
 //! * the `shardd` binary speaks the same protocol as the in-process server
 //!   (spawned as a child process, its logs kept for CI upload on failure).
+//! * there is one protocol: a hello naming another version, or a frame
+//!   that is not binary, is refused — by the shard with a binary
+//!   `rejected`, by the client with a transport error naming both versions.
 
 use rsn_eval::{Backend, CharmBackend, EvalError, Evaluator, WorkloadSpec, XnnAnalyticBackend};
 use rsn_serve::json::{grid_json, stats_json};
@@ -243,9 +246,9 @@ fn pooled_connections_amortise_dials_and_pipeline_micro_batches() {
     );
     assert_eq!(pool.redials, 0, "healthy shard: no re-dials: {pool:?}");
 
-    // The negotiated protocol is modern on both ends.
+    // The handshake negotiated on both ends.
     let remotes = RemoteBackend::connect_all(&addr).expect("handshake");
-    assert!(remotes[0].pool().supports_batch());
+    assert!(remotes[0].pool().negotiated());
 }
 
 /// A backend whose every evaluation sleeps: total batch time scales with
@@ -592,83 +595,6 @@ fn topology_with_unknown_local_backend_is_rejected() {
 }
 
 #[test]
-fn version_one_shards_fall_back_to_per_spec_exchanges() {
-    // A protocol-1 shard: answers hello WITHOUT the protocol field and
-    // rejects evaluate_batch, exactly like the pre-pooling server did.
-    use rsn_serve::json::JsonValue;
-    use rsn_serve::wire::{read_frame, write_frame, ShardRequest, ShardResponse};
-    use std::net::TcpListener;
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind legacy shard");
-    let addr = listener.local_addr().expect("addr").to_string();
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            std::thread::spawn(move || {
-                let backend = XnnAnalyticBackend::new();
-                while let Ok(Some(doc)) = read_frame(&mut stream) {
-                    let (id, request) = match ShardRequest::from_json(&doc) {
-                        Ok(decoded) => decoded,
-                        Err(e) => {
-                            // What an old server does with an unknown kind.
-                            let _ = write_frame(
-                                &mut stream,
-                                &ShardResponse::Rejected(e.to_string()).to_json(0),
-                            );
-                            continue;
-                        }
-                    };
-                    let response = match request {
-                        ShardRequest::Hello { .. } => {
-                            // Hand-built hello with no protocol field.
-                            let legacy = JsonValue::Obj(vec![
-                                ("id".to_string(), JsonValue::Int(id)),
-                                ("ok".to_string(), JsonValue::Bool(true)),
-                                (
-                                    "backends".to_string(),
-                                    JsonValue::Arr(vec![JsonValue::Str("rsn-xnn".to_string())]),
-                                ),
-                            ]);
-                            let _ = write_frame(&mut stream, &legacy);
-                            continue;
-                        }
-                        ShardRequest::Evaluate { spec, .. } => {
-                            ShardResponse::Evaluated(std::sync::Arc::new(backend.evaluate(&spec)))
-                        }
-                        _ => ShardResponse::Rejected("unsupported on protocol 1".to_string()),
-                    };
-                    if write_frame(&mut stream, &response.to_json(id)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    let remotes = RemoteBackend::connect_all(&addr).expect("hello against legacy shard");
-    assert_eq!(remotes.len(), 1);
-    assert_eq!(remotes[0].pool().protocol(), Some(1));
-    assert!(!remotes[0].pool().supports_batch());
-
-    // evaluate_many must fall back to per-spec exchanges and still answer
-    // every spec correctly (and identically to a local evaluation).
-    let specs: Vec<WorkloadSpec> = (1..=4usize)
-        .map(|n| WorkloadSpec::SquareGemm { n: n * 128 })
-        .collect();
-    let results = remotes[0].evaluate_many(&specs);
-    assert_eq!(results.len(), specs.len());
-    let local = XnnAnalyticBackend::new();
-    for (spec, result) in specs.iter().zip(&results) {
-        assert_eq!(
-            result.as_ref().expect("legacy shard evaluates"),
-            &local.evaluate(spec).expect("local evaluates")
-        );
-    }
-    // No batch exchange was attempted against the old shard.
-    assert_eq!(remotes[0].pool().stats().pipelined_batches, 0);
-}
-
-#[test]
 fn shardd_binary_speaks_the_protocol() {
     use std::io::{BufRead, BufReader};
     use std::process::{Command, Stdio};
@@ -734,331 +660,14 @@ fn shardd_binary_speaks_the_protocol() {
 }
 
 #[test]
-fn version_two_shards_negotiate_json_fallback_byte_identically() {
-    // A protocol-2 shard: speaks only JSON (it predates the binary codec)
-    // but does understand evaluate_batch.  A v3 client under the default
-    // `auto` encoding must learn this from the hello handshake and keep
-    // every subsequent frame JSON — never poking a binary frame at the old
-    // peer — while the results stay identical to a local evaluation.
-    use rsn_serve::json::JsonValue;
-    use rsn_serve::wire::{read_frame, write_frame, ShardRequest, ShardResponse};
-    use std::net::TcpListener;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc as StdArc;
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind legacy shard");
-    let addr = listener.local_addr().expect("addr").to_string();
-    // Counts frames whose payload did not parse as a JSON request — a v2
-    // shard would reject those, so the client must send none.
-    let non_json_frames = StdArc::new(AtomicU64::new(0));
-    let seen_binary = StdArc::clone(&non_json_frames);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            let seen_binary = StdArc::clone(&seen_binary);
-            std::thread::spawn(move || {
-                let backend = XnnAnalyticBackend::new();
-                loop {
-                    // `read_frame` is the v2 code path: it parses the
-                    // payload as JSON and errors on anything else.
-                    let doc = match read_frame(&mut stream) {
-                        Ok(Some(doc)) => doc,
-                        Ok(None) => return,
-                        Err(_) => {
-                            seen_binary.fetch_add(1, Ordering::SeqCst);
-                            let _ = write_frame(
-                                &mut stream,
-                                &ShardResponse::Rejected("not JSON".to_string()).to_json(0),
-                            );
-                            return;
-                        }
-                    };
-                    let Ok((id, request)) = ShardRequest::from_json(&doc) else {
-                        return;
-                    };
-                    let response = match request {
-                        ShardRequest::Hello { .. } => {
-                            // Protocol 2: batch yes, binary no.
-                            let hello = JsonValue::Obj(vec![
-                                ("id".to_string(), JsonValue::Int(id)),
-                                ("ok".to_string(), JsonValue::Bool(true)),
-                                (
-                                    "backends".to_string(),
-                                    JsonValue::Arr(vec![JsonValue::Str("rsn-xnn".to_string())]),
-                                ),
-                                ("protocol".to_string(), JsonValue::Int(2)),
-                            ]);
-                            let _ = write_frame(&mut stream, &hello);
-                            continue;
-                        }
-                        ShardRequest::Evaluate { spec, .. } => {
-                            ShardResponse::Evaluated(std::sync::Arc::new(backend.evaluate(&spec)))
-                        }
-                        ShardRequest::EvaluateBatch { specs, .. } => ShardResponse::EvaluatedBatch(
-                            specs
-                                .iter()
-                                .map(|spec| std::sync::Arc::new(backend.evaluate(spec)))
-                                .collect(),
-                        ),
-                        ShardRequest::Supports { spec, .. } => {
-                            ShardResponse::Supported(backend.supports(&spec))
-                        }
-                        ShardRequest::Stats | ShardRequest::Cancel { .. } => {
-                            ShardResponse::Rejected("unsupported on protocol 2".to_string())
-                        }
-                    };
-                    if write_frame(&mut stream, &response.to_json(id)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    // Default config = `auto` encoding: the v3 client must downgrade.
-    let remotes = RemoteBackend::connect_all(&addr).expect("hello against v2 shard");
-    assert_eq!(remotes[0].pool().protocol(), Some(2));
-    assert!(remotes[0].pool().supports_batch(), "v2 shards pipeline");
-    assert!(
-        !remotes[0].pool().supports_binary(),
-        "v2 shards must not be sent binary frames"
-    );
-
-    let specs: Vec<WorkloadSpec> = (1..=6usize)
-        .map(|n| WorkloadSpec::SquareGemm { n: n * 96 })
-        .collect();
-    let results = remotes[0].evaluate_many(&specs);
-    let local = XnnAnalyticBackend::new();
-    for (spec, result) in specs.iter().zip(&results) {
-        assert_eq!(
-            result.as_ref().expect("v2 shard evaluates"),
-            &local.evaluate(spec).expect("local evaluates"),
-            "fallback result diverged on {}",
-            spec.name()
-        );
-    }
-    // Byte-identical emission through the JSON fallback path.
-    let remote_doc =
-        rsn_serve::json::grid_json(&["rsn-xnn".to_string()], &specs, &[results]).to_pretty();
-    let local_results: Vec<Result<rsn_eval::EvalReport, EvalError>> =
-        specs.iter().map(|s| local.evaluate(s)).collect();
-    let local_doc =
-        rsn_serve::json::grid_json(&["rsn-xnn".to_string()], &specs, &[local_results]).to_pretty();
-    assert_eq!(remote_doc, local_doc);
-    // The batch pipelined (v2 capability) and no binary frame ever left
-    // the client (v3 capability correctly withheld).
-    assert!(remotes[0].pool().stats().pipelined_batches > 0);
-    assert_eq!(non_json_frames.load(Ordering::SeqCst), 0);
-}
-
-#[test]
-fn binary_encoding_negotiates_and_shrinks_the_wire() {
-    use rsn_serve::{EncodingPolicy, RemoteConfig};
-
-    // One v3 shard, two clients: one forced to JSON, one on the default
-    // auto-negotiation (which must pick binary).  Same workload stream —
-    // identical results, different wire encodings, measurably fewer bytes.
-    let server = ShardServer::bind("127.0.0.1:0", EvalService::new(paper_backends()))
-        .expect("bind loopback shard");
-    let addr = server.local_addr().to_string();
-    let specs: Vec<WorkloadSpec> = (1..=16usize)
-        .map(|n| WorkloadSpec::SquareGemm { n: n * 64 })
-        .collect();
-
-    let run = |encoding: EncodingPolicy| {
-        let config = RemoteConfig {
-            encoding,
-            ..RemoteConfig::default()
-        };
-        let remotes =
-            RemoteBackend::connect_all_with(&addr, config).expect("loopback shard reachable");
-        let results = remotes[0].evaluate_many(&specs);
-        let stats = remotes[0].pool().stats();
-        (results, stats)
-    };
-
-    let (json_results, json_stats) = run(EncodingPolicy::Json);
-    let (auto_results, auto_stats) = run(EncodingPolicy::Auto);
-
-    // Identical domain results either way.
-    assert_eq!(json_results.len(), auto_results.len());
-    for (a, b) in json_results.iter().zip(&auto_results) {
-        assert_eq!(a.as_ref().expect("json ok"), b.as_ref().expect("auto ok"));
-    }
-    // Auto negotiated binary against the v3 shard...
-    assert!(auto_stats.pipelined_batches > 0);
-    assert!(json_stats.bytes_received > 0 && auto_stats.bytes_received > 0);
-    // ...and the binary stream is dramatically smaller in both directions.
-    assert!(
-        auto_stats.bytes_received * 3 < json_stats.bytes_received,
-        "binary responses must shrink the wire: {} vs {} bytes",
-        auto_stats.bytes_received,
-        json_stats.bytes_received
-    );
-    assert!(
-        auto_stats.bytes_sent < json_stats.bytes_sent,
-        "binary requests must shrink the wire: {} vs {} bytes",
-        auto_stats.bytes_sent,
-        json_stats.bytes_sent
-    );
-
-    // Forcing JSON on the *server* (the debugging knob) keeps byte-parity
-    // answers for a JSON client.
-    let debug_server = ShardServer::bind(
-        "127.0.0.1:0",
-        EvalService::with_config(
-            paper_backends(),
-            ServiceConfig {
-                remote: RemoteConfig {
-                    encoding: EncodingPolicy::Json,
-                    ..RemoteConfig::default()
-                },
-                ..ServiceConfig::default()
-            },
-        ),
-    )
-    .expect("bind debug shard");
-    let remotes = RemoteBackend::connect_all(&debug_server.local_addr().to_string())
-        .expect("debug shard reachable");
-    let result = remotes[0]
-        .evaluate(&WorkloadSpec::SquareGemm { n: 512 })
-        .expect("json-forced shard evaluates");
-    assert_eq!(
-        result,
-        XnnAnalyticBackend::new()
-            .evaluate(&WorkloadSpec::SquareGemm { n: 512 })
-            .expect("local evaluates")
-    );
-}
-
-#[test]
-fn version_six_shards_stay_on_plain_binary_byte_identically() {
-    // A protocol-6 shard: full binary codec, no symbol dictionaries.  A v7
-    // client under the default `auto` encoding must learn this from the
-    // hello handshake and keep every frame a plain 0xB3 image — a 0xB7
-    // dictionary frame would be rejected by the old decoder — and those
-    // plain images must be byte-identical to the v6 encoder's own output.
-    use rsn_serve::binary;
-    use rsn_serve::wire::{
-        decode_request_payload, write_response_frame, FrameBuffer, ShardRequest, ShardResponse,
-        WireEncoding,
-    };
-    use std::net::TcpListener;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc as StdArc;
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind v6 shard");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let dict_frames = StdArc::new(AtomicU64::new(0));
-    let binary_frames = StdArc::new(AtomicU64::new(0));
-    let seen_dict = StdArc::clone(&dict_frames);
-    let seen_binary = StdArc::clone(&binary_frames);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            let seen_dict = StdArc::clone(&seen_dict);
-            let seen_binary = StdArc::clone(&seen_binary);
-            std::thread::spawn(move || {
-                let backend = XnnAnalyticBackend::new();
-                let mut frames = FrameBuffer::new();
-                let mut payload = Vec::new();
-                let mut scratch = Vec::new();
-                loop {
-                    match frames.take_frame(&mut payload) {
-                        Ok(true) => {}
-                        Ok(false) => match frames.fill(&mut stream) {
-                            Ok(0) | Err(_) => return,
-                            Ok(_) => continue,
-                        },
-                        Err(_) => return,
-                    }
-                    if payload.first() == Some(&binary::DICT_MAGIC) {
-                        // A real v6 decoder would choke right here.
-                        seen_dict.fetch_add(1, Ordering::SeqCst);
-                        return;
-                    }
-                    let Ok((id, request, encoding)) = decode_request_payload(&payload) else {
-                        return;
-                    };
-                    if encoding == WireEncoding::Binary {
-                        seen_binary.fetch_add(1, Ordering::SeqCst);
-                        // Pin: the v7 client's plain frames are byte-identical
-                        // to what the v6 encoder itself produces.
-                        let mut expected = Vec::new();
-                        binary::encode_request(&mut expected, id, &request);
-                        assert_eq!(payload, expected, "plain binary request image drifted");
-                    }
-                    let response = match request {
-                        ShardRequest::Hello { .. } => ShardResponse::Backends {
-                            names: vec!["rsn-xnn".to_string()],
-                            protocol: 6,
-                            ring: None,
-                            window: None,
-                        },
-                        ShardRequest::Supports { spec, .. } => {
-                            ShardResponse::Supported(backend.supports(&spec))
-                        }
-                        ShardRequest::Evaluate { spec, .. } => {
-                            ShardResponse::Evaluated(std::sync::Arc::new(backend.evaluate(&spec)))
-                        }
-                        ShardRequest::EvaluateBatch { specs, .. } => ShardResponse::EvaluatedBatch(
-                            specs
-                                .iter()
-                                .map(|spec| std::sync::Arc::new(backend.evaluate(spec)))
-                                .collect(),
-                        ),
-                        _ => ShardResponse::Rejected("unsupported on protocol 6".to_string()),
-                    };
-                    if write_response_frame(&mut stream, id, &response, encoding, &mut scratch)
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    let remotes = RemoteBackend::connect_all(&addr).expect("hello against v6 shard");
-    assert_eq!(remotes[0].pool().protocol(), Some(6));
-    let specs: Vec<WorkloadSpec> = (1..=6usize)
-        .map(|n| WorkloadSpec::SquareGemm { n: n * 96 })
-        .collect();
-    let local = XnnAnalyticBackend::new();
-    for _ in 0..2 {
-        let results = remotes[0].evaluate_many(&specs);
-        for (spec, result) in specs.iter().zip(&results) {
-            assert_eq!(
-                result.as_ref().expect("v6 shard evaluates"),
-                &local.evaluate(spec).expect("local evaluates")
-            );
-        }
-    }
-    let stats = remotes[0].pool().stats();
-    assert_eq!(
-        stats.dict_defines, 0,
-        "no dictionary state against a v6 peer"
-    );
-    assert_eq!(stats.dict_hits, 0, "no dictionary state against a v6 peer");
-    assert_eq!(
-        dict_frames.load(Ordering::SeqCst),
-        0,
-        "a 0xB7 frame reached the v6 shard"
-    );
-    assert!(
-        binary_frames.load(Ordering::SeqCst) > 0,
-        "the plain binary path was never exercised"
-    );
-}
-
-#[test]
 fn dict_encoding_negotiates_shrinks_the_wire_and_counts() {
     use rsn_serve::{EncodingPolicy, RemoteConfig};
 
-    // One v7 shard, two clients over the same workload stream: the default
-    // auto-negotiation (which must pick the symbol dictionaries) and the
-    // `binary_nodict` escape hatch.  Identical results, fewer bytes, and
-    // the dictionary counters populate only on the negotiated client.
+    // One shard, two clients over the same workload stream: the default
+    // `auto` encoding (symbol dictionaries once the hello has answered)
+    // and the `binary_nodict` escape hatch.  Identical results, fewer
+    // bytes, and the dictionary counters populate only on the `auto`
+    // client.
     let server = ShardServer::bind("127.0.0.1:0", EvalService::new(paper_backends()))
         .expect("bind loopback shard");
     let addr = server.local_addr().to_string();
@@ -1082,38 +691,29 @@ fn dict_encoding_negotiates_shrinks_the_wire_and_counts() {
         (runs, remotes[0].pool().stats())
     };
 
-    let (auto_runs, auto_stats) = run(EncodingPolicy::Auto);
-    // `binary` vs `binary_nodict` both open with a binary hello, so their
-    // byte counters differ only by the dictionary encoding itself (the
-    // `auto` client's pre-negotiation hello goes out as JSON, which would
-    // skew a byte comparison on a stream this short).
-    let (dict_runs, dict_stats) = run(EncodingPolicy::Binary);
+    // Both clients open with the same plain binary hello, so their byte
+    // counters differ only by the dictionary encoding itself.
+    let (dict_runs, dict_stats) = run(EncodingPolicy::Auto);
     let (plain_runs, plain_stats) = run(EncodingPolicy::BinaryNodict);
 
-    // Identical domain results every way.
+    // Identical domain results either way.
     for (dict_run, plain_run) in dict_runs.iter().zip(&plain_runs) {
         for (a, b) in dict_run.iter().zip(plain_run) {
             assert_eq!(a.as_ref().expect("dict ok"), b.as_ref().expect("nodict ok"));
         }
     }
-    for (auto_run, dict_run) in auto_runs.iter().zip(&dict_runs) {
-        for (a, b) in auto_run.iter().zip(dict_run) {
-            assert_eq!(a.as_ref().expect("auto ok"), b.as_ref().expect("dict ok"));
-        }
-    }
-    // Auto negotiation picked the dictionaries: labels interned, then
-    // resolved by reference.
+    // The default picked the dictionaries: labels interned, then resolved
+    // by reference.
     assert!(
-        auto_stats.dict_defines > 0,
+        dict_stats.dict_defines > 0,
         "auto client never defined a symbol"
     );
     assert!(
-        auto_stats.dict_hits > auto_stats.dict_defines,
+        dict_stats.dict_hits > dict_stats.dict_defines,
         "repeated labels must resolve by reference: {} hits vs {} defines",
-        auto_stats.dict_hits,
-        auto_stats.dict_defines
+        dict_stats.dict_hits,
+        dict_stats.dict_defines
     );
-    assert!(dict_stats.dict_defines > 0 && dict_stats.dict_hits > 0);
     // The escape hatch never touched a table...
     assert_eq!(plain_stats.dict_defines, 0);
     assert_eq!(plain_stats.dict_hits, 0);
@@ -1130,4 +730,152 @@ fn dict_encoding_negotiates_shrinks_the_wire_and_counts() {
         dict_stats.bytes_sent,
         plain_stats.bytes_sent
     );
+}
+
+// ---------------------------------------------------------------------------
+// One protocol: refusals instead of fallbacks
+// ---------------------------------------------------------------------------
+
+use rsn_serve::binary;
+use rsn_serve::wire::{
+    read_request_frame, read_response_frame, write_response_frame, ShardRequest, ShardResponse,
+    PROTOCOL_VERSION,
+};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+
+/// Sends one raw length-prefixed payload and reads back the single binary
+/// response frame the shard answers with.
+fn raw_exchange(stream: &mut TcpStream, payload: &[u8]) -> (u64, ShardResponse) {
+    stream
+        .write_all(&(payload.len() as u32).to_be_bytes())
+        .expect("write prefix");
+    stream.write_all(payload).expect("write payload");
+    let (id, response, _) = read_response_frame(stream, &mut Vec::new())
+        .expect("a binary response frame")
+        .expect("an answer, not EOF");
+    (id, response)
+}
+
+/// Asserts the peer has closed the connection (FIN or reset), not hung.
+fn assert_closed(stream: &mut TcpStream) {
+    let mut byte = [0u8; 1];
+    match stream.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the shard to close the connection, got {other:?}"),
+    }
+}
+
+fn raw_connect(server: &ShardServer) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr()).expect("connect to shard");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
+}
+
+#[test]
+fn threads_front_end_refuses_another_protocol_version_naming_both() {
+    let server = ShardServer::bind("127.0.0.1:0", EvalService::new(paper_backends()))
+        .expect("bind loopback shard");
+    let mut stream = raw_connect(&server);
+    let mut payload = Vec::new();
+    binary::encode_request(&mut payload, 1, &ShardRequest::Hello { protocol: 6 });
+    match raw_exchange(&mut stream, &payload) {
+        (1, ShardResponse::Rejected(message)) => {
+            assert!(message.contains("protocol 6"), "{message}");
+            assert!(
+                message.contains(&format!("only {PROTOCOL_VERSION}")),
+                "{message}"
+            );
+        }
+        other => panic!("expected a version refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn threads_front_end_refuses_json_frames_in_binary_and_closes() {
+    let server = ShardServer::bind("127.0.0.1:0", EvalService::new(paper_backends()))
+        .expect("bind loopback shard");
+    let mut stream = raw_connect(&server);
+    match raw_exchange(&mut stream, br#"{"id":1,"kind":"hello"}"#) {
+        (0, ShardResponse::Rejected(message)) => {
+            assert!(
+                message.contains(&format!("protocol {PROTOCOL_VERSION}")),
+                "{message}"
+            );
+        }
+        other => panic!("expected a binary rejection, got {other:?}"),
+    }
+    assert_closed(&mut stream);
+    // The shard itself is unharmed: a conforming client still evaluates.
+    let remotes =
+        RemoteBackend::connect_all(&server.local_addr().to_string()).expect("shard still serves");
+    assert!(remotes[0]
+        .evaluate(&WorkloadSpec::SquareGemm { n: 256 })
+        .is_ok());
+}
+
+#[test]
+fn client_refuses_a_shard_of_another_version_on_first_evaluation() {
+    // A stub shard from the future: its hello advertises the next version.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub shard");
+    let addr = listener.local_addr().expect("addr").to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            std::thread::spawn(move || {
+                let backend = XnnAnalyticBackend::new();
+                let mut scratch = Vec::new();
+                while let Ok(Some((id, request, _, _))) =
+                    read_request_frame(&mut stream, &mut scratch)
+                {
+                    let response = match request {
+                        ShardRequest::Hello { .. } => ShardResponse::Backends {
+                            names: vec!["rsn-xnn".to_string()],
+                            protocol: PROTOCOL_VERSION + 1,
+                            ring: None,
+                            window: None,
+                        },
+                        ShardRequest::Evaluate { spec, .. } => {
+                            ShardResponse::Evaluated(std::sync::Arc::new(backend.evaluate(&spec)))
+                        }
+                        _ => ShardResponse::Rejected("stub".to_string()),
+                    };
+                    if write_response_frame(&mut stream, id, &response, &mut scratch).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+
+    // The default client (its dial-time hello negotiates a ring) and a
+    // socket-only one (whose dials skip that hello) both refuse.
+    let socket_only = rsn_serve::RemoteConfig {
+        transport: rsn_serve::TransportPolicy::Socket,
+        ..rsn_serve::RemoteConfig::default()
+    };
+    for client in [
+        RemoteBackend::named(&addr, "rsn-xnn"),
+        RemoteBackend::named_with(&addr, "rsn-xnn", socket_only),
+    ] {
+        match client.evaluate(&WorkloadSpec::SquareGemm { n: 512 }) {
+            Err(EvalError::Transport { detail, .. }) => {
+                assert!(
+                    detail.contains(&format!("protocol {}", PROTOCOL_VERSION + 1)),
+                    "{detail}"
+                );
+                assert!(
+                    detail.contains(&format!("only {PROTOCOL_VERSION}")),
+                    "{detail}"
+                );
+            }
+            other => panic!("expected a transport error naming both versions, got {other:?}"),
+        }
+        assert!(!client.pool().negotiated());
+    }
+    // The handshake-first constructor refuses up front.
+    assert!(RemoteBackend::connect_all(&addr).is_err());
 }
