@@ -20,10 +20,17 @@
 //!   (explicit `hedge_budget_us`, or derived from the primary pool's
 //!   [`observed_exchange_p95`](crate::ConnectionPool::observed_exchange_p95)),
 //!   the same exchange is re-issued against the next sibling and the
-//!   first answer wins (`hedges_launched`/`hedges_won`).  The loser is
-//!   abandoned: on a multiplexed (windowed) connection its budget
-//!   expiry sends the `Cancel` frame, so the losing shard stops working
-//!   on it rather than finishing into the void.
+//!   first answer wins (`hedges_launched`/`hedges_won`).  The primary
+//!   runs on the caller's thread up to the budget
+//!   ([`exchange_hedged`](crate::ConnectionPool::exchange_hedged)), so an
+//!   answer in time costs no thread and no channel; a late primary is
+//!   finished on a thread of its own ([`Late`]) while the hedge races
+//!   it.  A primary with no connection ready to send on (no hello yet,
+//!   no idle connection, no free credit) starts on a thread instead, so
+//!   nothing that may block ever holds the caller past the budget.  The
+//!   loser is abandoned: on a multiplexed (windowed) connection
+//!   its budget expiry sends the `Cancel` frame, so the losing shard
+//!   stops working on it rather than finishing into the void.
 //! * **Circuit breaking** — each replica keeps a rolling window of
 //!   exchange outcomes ([`BreakerConfig`]); too many failures trip the
 //!   breaker open and routing skips the replica (`breaker_trips`,
@@ -40,13 +47,12 @@
 //! in-flight exchanges hold their own reference and finish normally.
 
 use crate::config::{BreakerConfig, RemoteConfig};
-use crate::pool::ConnectionPool;
+use crate::pool::{ConnectionPool, Exchanged, Late};
 use crate::service::PoolRegistry;
 use crate::topology::{ReplicaGroupDecl, Topology, TopologyError};
 use crate::wire::{ShardRequest, ShardResponse, SharedResult, WireError};
 use rsn_eval::fnv::FnvBuild;
 use rsn_eval::{Backend, EvalError, EvalReport, WorkloadSpec};
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,8 +62,8 @@ use std::time::{Duration, Instant};
 
 /// Floor on a p95-*derived* hedge budget.  Sub-millisecond exchanges
 /// (loopback, shared memory) would otherwise hedge so eagerly that the
-/// hedge threads become their own tail; an explicit `hedge_budget_us`
-/// is taken verbatim.
+/// duplicate work and the threads a late exchange starts become their
+/// own tail; an explicit `hedge_budget_us` is taken verbatim.
 const MIN_DERIVED_HEDGE_BUDGET: Duration = Duration::from_micros(500);
 
 /// The per-shard [`RemoteConfig`] a topology implies for `addr`: the
@@ -324,70 +330,98 @@ impl FleetState {
 /// transport error that makes the attempt failover-eligible.
 type AttemptResult = Result<Vec<SharedResult>, WireError>;
 
-/// Runs `specs` against one replica as a single exchange (an
-/// `evaluate_batch` for two or more specs, an `evaluate` for one) and
-/// feeds the breaker.
-fn attempt(
+/// The specs a partition's request carries.
+fn request_specs(request: &ShardRequest) -> &[WorkloadSpec] {
+    match request {
+        ShardRequest::Evaluate { spec, .. } => std::slice::from_ref(spec),
+        ShardRequest::EvaluateBatch { specs, .. } => specs,
+        _ => &[],
+    }
+}
+
+/// Unpacks `pool`'s answer to `request` (an `evaluate_batch` for two or
+/// more specs, an `evaluate` for one) into one result per spec.
+fn results_of(
+    pool: &ConnectionPool,
+    request: &ShardRequest,
+    response: ShardResponse,
+) -> AttemptResult {
+    let expected = request_specs(request).len();
+    match response {
+        ShardResponse::EvaluatedBatch(results) if results.len() == expected => {
+            pool.count_pipelined(expected);
+            Ok(results)
+        }
+        ShardResponse::EvaluatedBatch(results) => Err(WireError::Rejected(format!(
+            "{} results for a {expected}-spec batch",
+            results.len()
+        ))),
+        ShardResponse::Evaluated(result) if expected == 1 => Ok(vec![result]),
+        ShardResponse::Rejected(message) => Err(WireError::Rejected(message)),
+        _ => Err(WireError::Rejected(
+            "unexpected payload answering an evaluation".to_string(),
+        )),
+    }
+}
+
+/// Turns one attempt's wire outcome into its results and feeds the
+/// breaker.
+fn settle(
     replica: &Replica,
     cfg: &BreakerConfig,
-    backend: &str,
-    specs: &[WorkloadSpec],
+    request: &ShardRequest,
+    exchanged: Result<ShardResponse, WireError>,
 ) -> AttemptResult {
-    let result = attempt_raw(replica.pool(), backend, specs);
+    let result = exchanged.and_then(|response| results_of(replica.pool(), request, response));
     replica.record(cfg, result.is_ok());
     result
 }
 
-fn attempt_raw(pool: &ConnectionPool, backend: &str, specs: &[WorkloadSpec]) -> AttemptResult {
-    // Fleet pools are built without a construction-time handshake (a dead
-    // replica must not abort assembly); say hello on first use, so a
-    // refusal or a dead replica fails this attempt over.
-    pool.negotiate()?;
-    if specs.len() >= 2 {
-        match pool.exchange(&ShardRequest::EvaluateBatch {
-            backend: backend.to_string(),
-            specs: specs.to_vec(),
-        })? {
-            ShardResponse::EvaluatedBatch(results) if results.len() == specs.len() => {
-                pool.count_pipelined(specs.len());
-                Ok(results)
-            }
-            ShardResponse::EvaluatedBatch(results) => Err(WireError::Rejected(format!(
-                "{} results for a {}-spec batch",
-                results.len(),
-                specs.len()
-            ))),
-            ShardResponse::Rejected(message) => Err(WireError::Rejected(message)),
-            _ => Err(WireError::Rejected(
-                "unexpected payload answering evaluate_batch".to_string(),
-            )),
-        }
-    } else {
-        specs
-            .iter()
-            .map(|spec| {
-                match pool.exchange(&ShardRequest::Evaluate {
-                    backend: backend.to_string(),
-                    spec: spec.clone(),
-                })? {
-                    ShardResponse::Evaluated(result) => Ok(result),
-                    ShardResponse::Rejected(message) => Err(WireError::Rejected(message)),
-                    _ => Err(WireError::Rejected(
-                        "unexpected payload answering evaluate".to_string(),
-                    )),
-                }
-            })
-            .collect()
-    }
+/// Runs `request` against one replica as a single exchange.  Fleet pools
+/// are built without a construction-time handshake (a dead replica must
+/// not abort assembly), so each attempt says hello on first use, and a
+/// refusal or a dead replica fails the attempt over.
+fn attempt(replica: &Replica, cfg: &BreakerConfig, request: &ShardRequest) -> AttemptResult {
+    let pool = replica.pool();
+    let exchanged = pool.negotiate().and_then(|()| pool.exchange(request));
+    settle(replica, cfg, request, exchanged)
 }
 
-/// Runs `specs` against the candidate chain with failover and (when a
-/// budget exists and a sibling is available) one hedge.
-fn run(state: &FleetState, specs: &[WorkloadSpec]) -> Result<Vec<SharedResult>, EvalError> {
+/// How the primary attempt left the caller's thread.
+enum Primary {
+    /// Answered or failed by its hedge point.
+    Done(AttemptResult),
+    /// Still in flight at its hedge point.
+    Late(Late),
+    /// Not sent: the pool had no connection ready without blocking.
+    Unsent,
+}
+
+/// The primary attempt on the caller's thread, up to its hedge point.
+fn attempt_until(
+    replica: &Replica,
+    cfg: &BreakerConfig,
+    request: &ShardRequest,
+    hedge: Duration,
+) -> Primary {
+    let exchanged = match replica.pool().exchange_hedged(request, hedge) {
+        Ok(Exchanged::Unsent) => return Primary::Unsent,
+        Ok(Exchanged::Late(late)) => return Primary::Late(late),
+        Ok(Exchanged::Answer(response)) => Ok(response),
+        Err(error) => Err(error),
+    };
+    Primary::Done(settle(replica, cfg, request, exchanged))
+}
+
+/// Runs one partition's `request` against the candidate chain with
+/// failover and (when a budget exists and a sibling is available) one
+/// hedge.
+fn run(state: &FleetState, request: &Arc<ShardRequest>) -> Result<Vec<SharedResult>, EvalError> {
     let no_replicas = || EvalError::Transport {
         backend: state.backend.clone(),
         detail: "replica group has no members".to_string(),
     };
+    let specs = request_specs(request);
     let candidates = state.candidates_for(specs.first().ok_or_else(no_replicas)?);
     if candidates.is_empty() {
         return Err(no_replicas());
@@ -401,7 +435,7 @@ fn run(state: &FleetState, specs: &[WorkloadSpec]) -> Result<Vec<SharedResult>, 
         let mut last_error = None;
         let total = candidates.len();
         for (idx, replica) in candidates.iter().enumerate() {
-            match attempt(replica, &cfg, &state.backend, specs) {
+            match attempt(replica, &cfg, request) {
                 Ok(results) => return Ok(results),
                 Err(error) => {
                     if idx + 1 < total {
@@ -418,21 +452,29 @@ fn run(state: &FleetState, specs: &[WorkloadSpec]) -> Result<Vec<SharedResult>, 
         return Err(all_replicas_failed(state, total, last_error));
     };
 
-    // Hedged path.  Attempts run on their own threads and report through
-    // one channel; the coordinator launches the primary, hedges once if
-    // it outlives the budget, and fails over to unlaunched siblings as
-    // attempts error out.  Abandoned attempts (the hedge race's loser)
-    // keep their `Arc<Replica>` alive until their own exchange budget
-    // expires — on a multiplexed connection that expiry sends the
-    // `Cancel` frame, so the losing shard stops computing the answer.
+    // Hedged path.  The primary runs on the caller's thread until its
+    // hedge point, so an answer in time costs no thread and no channel.
+    // Only a late, failed or unsent primary hands over to the coordinator
+    // below.
+    let primary = match attempt_until(&candidates[0], &cfg, request, budget) {
+        Primary::Done(Ok(results)) => return Ok(results),
+        other => other,
+    };
+
+    // Attempts now run on their own threads and report through one
+    // channel; the coordinator hedges once if the primary was late, and
+    // fails over to unlaunched siblings as attempts error out.  Abandoned
+    // attempts (the hedge race's loser) keep their `Arc<Replica>` alive
+    // until their own exchange budget expires — on a multiplexed
+    // connection that expiry sends the `Cancel` frame, so the losing shard
+    // stops computing the answer.
     let (tx, rx) = mpsc::channel::<(usize, AttemptResult)>();
     let spawn_attempt = |idx: usize| {
         let replica = Arc::clone(&candidates[idx]);
-        let backend = state.backend.clone();
-        let specs = specs.to_vec();
+        let request = Arc::clone(request);
         let tx = tx.clone();
         std::thread::spawn(move || {
-            let result = attempt(&replica, &cfg, &backend, &specs);
+            let result = attempt(&replica, &cfg, &request);
             let _ = tx.send((idx, result));
         });
     };
@@ -446,17 +488,46 @@ fn run(state: &FleetState, specs: &[WorkloadSpec]) -> Result<Vec<SharedResult>, 
         .saturating_add(pool_cfg.connect_timeout)
         .saturating_mul(2);
 
-    spawn_attempt(0);
     let mut launched = 1usize;
     let mut failed = 0usize;
     let mut hedge_idx: Option<usize> = None;
+    match primary {
+        // Failed before its hedge point: the loop fails it over like any
+        // other attempt.
+        Primary::Done(result) => {
+            let _ = tx.send((0, result));
+        }
+        // Needs a hello, a dial or a credit, any of which may block: run
+        // it on a thread of its own, hedged after the budget as usual.
+        Primary::Unsent => spawn_attempt(0),
+        // Outlived its budget: finish it on a thread of its own and race
+        // one sibling now.
+        Primary::Late(late) => {
+            let replica = Arc::clone(&candidates[0]);
+            let request = Arc::clone(request);
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let result = settle(&replica, &cfg, &request, late.finish());
+                let _ = tx.send((0, result));
+            });
+            candidates[0]
+                .pool()
+                .fleet_counters()
+                .hedges_launched
+                .fetch_add(1, Ordering::Relaxed);
+            spawn_attempt(launched);
+            hedge_idx = Some(launched);
+            launched += 1;
+        }
+    }
     loop {
         let can_hedge = hedge_idx.is_none() && launched < candidates.len();
         let wait = if can_hedge { budget } else { stall_cap };
         let (idx, result) = match rx.recv_timeout(wait) {
             Ok(message) => message,
             Err(mpsc::RecvTimeoutError::Timeout) if can_hedge => {
-                // The primary outlived its budget: race one sibling.
+                // The attempt in flight outlived its budget: race one
+                // more sibling.
                 candidates[0]
                     .pool()
                     .fleet_counters()
@@ -550,37 +621,48 @@ impl FleetBackend {
             }));
             return specs.iter().map(|_| Arc::clone(&error)).collect();
         }
+        // One spec, or one replica: a single partition, no grouping.
+        if specs.len() == 1 || replicas.len() == 1 {
+            return self.run_partition(specs.to_vec());
+        }
         // Group spec indices by their top-ranked replica so each replica
         // sees exactly the specs whose cache it should own.
-        let mut partitions: HashMap<&str, Vec<usize>> = HashMap::new();
+        let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); replicas.len()];
         for (index, spec) in specs.iter().enumerate() {
-            let winner = replicas
-                .iter()
-                .max_by_key(|replica| rendezvous_score(replica.addr(), spec))
+            let winner = (0..replicas.len())
+                .max_by_key(|&r| rendezvous_score(replicas[r].addr(), spec))
                 .expect("non-empty replicas");
-            partitions.entry(winner.addr()).or_default().push(index);
+            partitions[winner].push(index);
         }
         let mut results: Vec<Option<SharedResult>> = vec![None; specs.len()];
-        for indices in partitions.into_values() {
-            let partition: Vec<WorkloadSpec> = indices.iter().map(|&i| specs[i].clone()).collect();
-            match run(&self.state, &partition) {
-                Ok(answers) => {
-                    for (&index, answer) in indices.iter().zip(answers) {
-                        results[index] = Some(answer);
-                    }
-                }
-                Err(error) => {
-                    let shared = Arc::new(Err(error));
-                    for &index in &indices {
-                        results[index] = Some(Arc::clone(&shared));
-                    }
-                }
+        for indices in partitions.into_iter().filter(|p| !p.is_empty()) {
+            let answers = self.run_partition(indices.iter().map(|&i| specs[i].clone()).collect());
+            for (&index, answer) in indices.iter().zip(answers) {
+                results[index] = Some(answer);
             }
         }
         results
             .into_iter()
             .map(|slot| slot.expect("every index answered"))
             .collect()
+    }
+
+    /// Runs one partition as one exchange.  Its request is built here,
+    /// once, and shared by the primary, hedge and failover attempts.
+    fn run_partition(&self, specs: Vec<WorkloadSpec>) -> Vec<SharedResult> {
+        let count = specs.len();
+        let backend = self.state.backend.clone();
+        let request = Arc::new(match <[WorkloadSpec; 1]>::try_from(specs) {
+            Ok([spec]) => ShardRequest::Evaluate { backend, spec },
+            Err(specs) => ShardRequest::EvaluateBatch { backend, specs },
+        });
+        match run(&self.state, &request) {
+            Ok(answers) => answers,
+            Err(error) => {
+                let shared = Arc::new(Err(error));
+                vec![shared; count]
+            }
+        }
     }
 }
 
@@ -593,11 +675,15 @@ impl Backend for FleetBackend {
     /// an unreachable fleet reports `false` (the `supports` contract has
     /// no error channel).
     fn supports(&self, workload: &WorkloadSpec) -> bool {
+        let request = ShardRequest::Supports {
+            backend: self.state.backend.clone(),
+            spec: workload.clone(),
+        };
         for replica in self.state.candidates_for(workload) {
-            match replica.pool().exchange(&ShardRequest::Supports {
-                backend: self.state.backend.clone(),
-                spec: workload.clone(),
-            }) {
+            // Hello first, as every evaluation does: a replica of another
+            // protocol version is refused, not asked.
+            let pool = replica.pool();
+            match pool.negotiate().and_then(|()| pool.exchange(&request)) {
                 Ok(ShardResponse::Supported(answer)) => return answer,
                 _ => continue,
             }
@@ -606,8 +692,8 @@ impl Backend for FleetBackend {
     }
 
     fn evaluate(&self, workload: &WorkloadSpec) -> Result<EvalReport, EvalError> {
-        run(&self.state, std::slice::from_ref(workload))
-            .and_then(|mut results| unshare(results.remove(0)))
+        let mut results = self.run_partition(vec![workload.clone()]);
+        unshare(results.remove(0))
     }
 
     fn evaluate_many(&self, workloads: &[WorkloadSpec]) -> Vec<Result<EvalReport, EvalError>> {
@@ -959,6 +1045,47 @@ mod tests {
             replica.pool().stats().breaker_trips,
             1,
             "same outage, one trip"
+        );
+    }
+
+    #[test]
+    fn supports_says_hello_first_and_refuses_another_version() {
+        use crate::config::TransportPolicy;
+        use crate::pool::tests::scripted_peer;
+        use crate::wire::PROTOCOL_VERSION;
+        // A peer of another protocol version that would otherwise answer
+        // every question "yes".
+        let (addr, _, log) = scripted_peer(ShardResponse::Backends {
+            names: vec!["square".to_string()],
+            protocol: PROTOCOL_VERSION + 1,
+            ring: None,
+            window: None,
+        });
+        // A socket-only pool dials with no hello of its own, so only the
+        // fleet can say it.
+        let pool = Arc::new(ConnectionPool::new(
+            &addr,
+            RemoteConfig {
+                transport: TransportPolicy::Socket,
+                ..RemoteConfig::default()
+            },
+        ));
+        let state = FleetState::new(&ReplicaGroupDecl::new("square", &[&addr]), vec![pool]);
+        let fleet = FleetBackend::from_state(Arc::new(state));
+        assert!(
+            !fleet.supports(&spec(64)),
+            "a refused replica supports nothing"
+        );
+        let seen = log.lock().expect("request log");
+        assert!(
+            matches!(seen.first(), Some(ShardRequest::Hello { .. })),
+            "the first frame must be a hello, saw {seen:?}"
+        );
+        assert!(
+            !seen
+                .iter()
+                .any(|request| matches!(request, ShardRequest::Supports { .. })),
+            "a refused replica must not be asked, saw {seen:?}"
         );
     }
 

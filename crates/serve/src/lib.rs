@@ -126,7 +126,7 @@ pub use config::{
     BreakerConfig, EncodingPolicy, FrontendPolicy, RemoteConfig, ServiceConfig, TransportPolicy,
 };
 pub use fleet::{FleetBackend, FleetController};
-pub use pool::ConnectionPool;
+pub use pool::{ConnectionPool, Exchanged, Late};
 pub use remote::{RemoteBackend, ShardServer};
 pub use request::{BackendSelector, EvalRequest, EvalResponse, Priority, ResponseHandle};
 pub use service::{EvalService, RouterError, ShardRouter};

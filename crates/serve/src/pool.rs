@@ -42,8 +42,12 @@
 //!
 //! When a topology `replicas` group maps a backend onto several shards,
 //! each member shard keeps its own `ConnectionPool` and the fleet layer
-//! ([`crate::fleet`]) routes between them.  Two pieces of per-pool state
-//! exist for that layer:
+//! ([`crate::fleet`]) routes between them.  It exchanges through
+//! [`exchange_hedged`](ConnectionPool::exchange_hedged): the same code as
+//! [`exchange`](ConnectionPool::exchange), but it stops waiting at a hedge
+//! point and hands back a [`Late`] handle when no answer byte has arrived
+//! by then, so only a late exchange needs a thread of its own.  Two pieces
+//! of per-pool state exist for that layer:
 //!
 //! * every successful exchange's wall time feeds a latency histogram, and
 //!   [`observed_exchange_p95`](ConnectionPool::observed_exchange_p95)
@@ -76,8 +80,8 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 thread_local! {
     /// Per-thread frame scratch: binary images are built here and received
@@ -147,6 +151,40 @@ impl Transport {
                 conn.set_read_budget(budget);
                 Ok(())
             }
+        }
+    }
+
+    /// Waits until the answer's first byte is readable (`Ok(true)`) or
+    /// `at` passes first (`Ok(false)`); consumes nothing.  A peer that
+    /// closes instead fails the wait.  TCP waits in a `peek` under a read
+    /// timeout of what is left until `at` (the kernel rounds it up to its
+    /// tick); a ring polls with its parker and liveness checks.
+    fn await_answer(&mut self, at: Instant) -> Result<bool, WireError> {
+        match self {
+            Transport::Tcp(stream) => {
+                let left = at.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Ok(false);
+                }
+                stream.set_read_timeout(Some(left))?;
+                let mut probe = [0u8; 1];
+                loop {
+                    match stream.peek(&mut probe) {
+                        Ok(0) => {
+                            return Err(closed("shard closed the connection before answering"))
+                        }
+                        Ok(_) => return Ok(true),
+                        Err(e) => match e.kind() {
+                            std::io::ErrorKind::Interrupted => {}
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+                                return Ok(false)
+                            }
+                            _ => return Err(WireError::Io(e)),
+                        },
+                    }
+                }
+            }
+            Transport::Ring(conn) => Ok(conn.wait_readable(at)?),
         }
     }
 
@@ -272,6 +310,73 @@ impl PoolCounters {
             self.dict_hits.fetch_add(hits, Ordering::Relaxed);
         }
     }
+}
+
+/// What [`ConnectionPool::exchange_hedged`] holds at its hedge point.
+#[derive(Debug)]
+pub enum Exchanged {
+    /// The answer began arriving by the hedge point and has been read.
+    Answer(ShardResponse),
+    /// No answer byte by the hedge point: the request is sent and still in
+    /// flight, and [`Late::finish`] reads its answer.
+    Late(Late),
+    /// Nothing is in flight: no connection was ready without blocking (no
+    /// hello has answered yet, no idle connection, or no free credit on
+    /// the multiplexed connection), or the ready one turned out dead.  The
+    /// caller runs a plain [`ConnectionPool::exchange`] where blocking is
+    /// acceptable.
+    Unsent,
+}
+
+/// A sent exchange whose answer had not begun by its hedge point.  It owns
+/// the checked-out connection (on a multiplexed connection, the request's
+/// id and receiver), so any thread can finish it while the caller races a
+/// sibling replica.
+///
+/// Dropping it unfinished abandons the exchange: a pooled connection
+/// closes; a multiplexed request holds its credit until the shard answers.
+#[derive(Debug)]
+pub struct Late {
+    pool: Arc<ConnectionPool>,
+    started: Instant,
+    pending: Pending,
+}
+
+impl Late {
+    /// Reads the answer with the exchange's full read budget, then records
+    /// latency and checks the connection back in exactly as
+    /// [`ConnectionPool::exchange`] does.  A failure here is not retried:
+    /// the exchange is already racing a sibling, which is its retry.
+    pub fn finish(self) -> Result<ShardResponse, WireError> {
+        self.pool.finish(self.pending, self.started)
+    }
+}
+
+/// The in-flight half of a late exchange.
+#[derive(Debug)]
+enum Pending {
+    /// A pooled connection with the request written.
+    Conn {
+        conn: PooledConn,
+        /// Whether it came from the idle set (counted as reuse on success).
+        reused: bool,
+        /// The request's full read budget.
+        budget: Duration,
+    },
+    /// A request submitted on the pool's multiplexed connection.
+    Mux {
+        mux: Arc<Multiplexer>,
+        id: u64,
+        rx: mpsc::Receiver<ShardResponse>,
+        deadline: Instant,
+    },
+}
+
+/// Where one exchange stood when it stopped waiting.
+enum Progress {
+    Answered(ShardResponse),
+    Pending(Pending),
+    Unsent,
 }
 
 /// A bounded pool of framed connections to one shard server address.
@@ -491,26 +596,88 @@ impl ConnectionPool {
     /// response, check the connection back in on clean success.  An
     /// exchange that fails on a *reused* connection is retried once over a
     /// fresh dial (see module docs for why that is safe); every other
-    /// failure surfaces immediately.
+    /// failure surfaces immediately.  The same code as
+    /// [`exchange_hedged`](Self::exchange_hedged), with no hedge point.
     pub fn exchange(&self, request: &ShardRequest) -> Result<ShardResponse, WireError> {
-        let started = std::time::Instant::now();
-        let response = self.exchange_unrecorded(request);
-        // Only clean exchanges feed the latency histogram: failures are
-        // the breaker's signal, not a latency sample, and a timeout would
-        // drag the p95 toward the very budget it is meant to derive.
-        if response.is_ok() {
-            self.counters.exchange_latency.record(started.elapsed());
+        let started = Instant::now();
+        match self.exchange_until(request, None, started)? {
+            Progress::Answered(response) => Ok(response),
+            Progress::Pending(pending) => self.finish(pending, started),
+            Progress::Unsent => unreachable!("an exchange without a hedge point always sends"),
         }
-        response
     }
 
-    fn exchange_unrecorded(&self, request: &ShardRequest) -> Result<ShardResponse, WireError> {
+    /// [`exchange`](Self::exchange) on the caller's thread up to a hedge
+    /// point `hedge` after the call: the answer if its first byte arrived
+    /// by then, otherwise a [`Late`] handle owning the in-flight exchange.
+    /// Nothing before the send may block the caller past the hedge point,
+    /// so it takes only a connection that is ready now — where `exchange`
+    /// would say hello, dial or wait for a credit, it sends nothing and
+    /// returns [`Exchanged::Unsent`].  A failure on a ready connection
+    /// takes the same ladder as `exchange`.
+    pub fn exchange_hedged(
+        self: &Arc<Self>,
+        request: &ShardRequest,
+        hedge: Duration,
+    ) -> Result<Exchanged, WireError> {
+        let started = Instant::now();
+        Ok(
+            match self.exchange_until(request, Some(started + hedge), started)? {
+                Progress::Answered(response) => Exchanged::Answer(response),
+                Progress::Pending(pending) => Exchanged::Late(Late {
+                    pool: Arc::clone(self),
+                    started,
+                    pending,
+                }),
+                Progress::Unsent => Exchanged::Unsent,
+            },
+        )
+    }
+
+    /// Both exchanges' shared body: climbs the [`ladder`](Self::ladder),
+    /// counts the checkout unless nothing was sent, and records the
+    /// latency of an answer.
+    fn exchange_until(
+        &self,
+        request: &ShardRequest,
+        hedge_at: Option<Instant>,
+        started: Instant,
+    ) -> Result<Progress, WireError> {
+        let progress = self.ladder(request, hedge_at);
+        match progress {
+            Ok(Progress::Unsent) => return progress,
+            Ok(Progress::Answered(_)) => self.record_latency(started),
+            _ => {}
+        }
         self.counters.checkouts.fetch_add(1, Ordering::Relaxed);
-        if let Some(mux) = self.mux_handle() {
-            match mux.exchange(request, self.read_budget_for(request)) {
-                Ok(response) => {
-                    self.counters.reused.fetch_add(1, Ordering::Relaxed);
-                    return Ok(response);
+        progress
+    }
+
+    /// The retry ladder: the multiplexed connection, then one idle
+    /// connection, then a fresh dial.  Stops at `hedge_at` with the
+    /// exchange still pending if no answer byte has arrived by then.  With
+    /// a hedge point it climbs only rungs that are ready now, and returns
+    /// `Unsent` where it would otherwise block before sending.
+    fn ladder(
+        &self,
+        request: &ShardRequest,
+        hedge_at: Option<Instant>,
+    ) -> Result<Progress, WireError> {
+        let ready_only = hedge_at.is_some();
+        if ready_only && !self.negotiated() {
+            return Ok(Progress::Unsent);
+        }
+        let mux = self.mux_handle(ready_only);
+        if mux.is_none() && ready_only && self.mux_eligible() {
+            return Ok(Progress::Unsent);
+        }
+        if let Some(mux) = mux {
+            match self.exchange_on_mux(&mux, request, hedge_at) {
+                Ok(progress) => {
+                    if matches!(progress, Progress::Answered(_)) {
+                        self.counters.reused.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Ok(progress);
                 }
                 // A dead multiplexed connection degrades to the plain
                 // pooled path below (which dials fresh) — same story as a
@@ -522,13 +689,16 @@ impl ConnectionPool {
             }
         }
         if let Some(conn) = self.checkout_idle() {
-            match self.exchange_on(conn, request) {
-                Ok(response) => {
-                    // Counted only on success: a checkout whose reused
+            match self.exchange_on(conn, true, request, hedge_at) {
+                Ok(progress) => {
+                    // Counted only on an answer: a checkout whose reused
                     // connection turned out stale pays a redial below and
-                    // must not also inflate the reuse ratio.
-                    self.counters.reused.fetch_add(1, Ordering::Relaxed);
-                    return Ok(response);
+                    // must not also inflate the reuse ratio (a late one is
+                    // counted when it finishes).
+                    if matches!(progress, Progress::Answered(_)) {
+                        self.counters.reused.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Ok(progress);
                 }
                 Err(_) => {
                     // The shard may have reaped this idle connection;
@@ -537,8 +707,55 @@ impl ConnectionPool {
                 }
             }
         }
+        if ready_only {
+            return Ok(Progress::Unsent);
+        }
         let conn = self.dial()?;
-        self.exchange_on(conn, request)
+        self.exchange_on(conn, false, request, hedge_at)
+    }
+
+    /// Reads a late exchange's answer with its full budget, then counts,
+    /// records and checks in exactly as an answered exchange does.
+    fn finish(&self, pending: Pending, started: Instant) -> Result<ShardResponse, WireError> {
+        let response = match pending {
+            Pending::Conn {
+                conn,
+                reused,
+                budget,
+            } => {
+                let response = self.receive_on(conn, budget);
+                if reused && response.is_ok() {
+                    self.counters.reused.fetch_add(1, Ordering::Relaxed);
+                }
+                response
+            }
+            Pending::Mux {
+                mux,
+                id,
+                rx,
+                deadline,
+            } => match mux.finish(id, &rx, deadline) {
+                Ok(response) => {
+                    self.counters.reused.fetch_add(1, Ordering::Relaxed);
+                    Ok(response)
+                }
+                Err(error) => {
+                    self.poison_mux(&mux);
+                    Err(error)
+                }
+            },
+        };
+        if response.is_ok() {
+            self.record_latency(started);
+        }
+        response
+    }
+
+    /// Only clean exchanges feed the latency histogram: failures are the
+    /// breaker's signal, not a latency sample, and a timeout would drag
+    /// the p95 toward the very budget it is meant to derive.
+    fn record_latency(&self, started: Instant) {
+        self.counters.exchange_latency.record(started.elapsed());
     }
 
     /// Sends several requests as **one** coalesced burst over one pooled
@@ -552,11 +769,11 @@ impl ConnectionPool {
         &self,
         requests: &[ShardRequest],
     ) -> Result<Vec<ShardResponse>, WireError> {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let responses = self.exchange_burst_unrecorded(requests);
         if responses.is_ok() && requests.len() > 1 {
             // Bursts of one were recorded by the `exchange` they became.
-            self.counters.exchange_latency.record(started.elapsed());
+            self.record_latency(started);
         }
         responses
     }
@@ -573,7 +790,7 @@ impl ConnectionPool {
             _ => {}
         }
         self.counters.checkouts.fetch_add(1, Ordering::Relaxed);
-        if let Some(mux) = self.mux_handle() {
+        if let Some(mux) = self.mux_handle(false) {
             let budget = requests
                 .iter()
                 .map(|request| self.read_budget_for(request))
@@ -610,17 +827,21 @@ impl ConnectionPool {
     /// The pool's live multiplexed connection, dialling one on first use.
     /// `None` when multiplexing is not negotiated (no window, a ring in
     /// play) or the dial fails — callers then take the plain pooled path,
-    /// so a mux setback never fails an exchange.
-    fn mux_handle(&self) -> Option<Arc<Multiplexer>> {
+    /// so a mux setback never fails an exchange.  `ready_only` never dials
+    /// and also answers `None` while every credit is taken.
+    fn mux_handle(&self, ready_only: bool) -> Option<Arc<Multiplexer>> {
         if !self.mux_eligible() {
             return None;
         }
         let mut slot = self.mux.lock().expect("pool mux lock");
         if let Some(mux) = slot.as_ref() {
             if mux.is_healthy() {
-                return Some(Arc::clone(mux));
+                return (!ready_only || mux.has_credit()).then(|| Arc::clone(mux));
             }
             *slot = None;
+        }
+        if ready_only {
+            return None;
         }
         let stream = self.dial_tcp().ok()?;
         self.counters.dials.fetch_add(1, Ordering::Relaxed);
@@ -712,13 +933,8 @@ impl ConnectionPool {
             let scratch = &mut cell.borrow_mut();
             let sent = write_request_frame(&mut stream, id, &hello, scratch)?;
             self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
-            let (_, response, received) =
-                read_response_frame(&mut stream, scratch)?.ok_or_else(|| {
-                    WireError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "shard closed the connection during ring negotiation",
-                    ))
-                })?;
+            let (_, response, received) = read_response_frame(&mut stream, scratch)?
+                .ok_or_else(|| closed("shard closed the connection during ring negotiation"))?;
             self.counters
                 .bytes_received
                 .fetch_add(received, Ordering::Relaxed);
@@ -759,47 +975,99 @@ impl ConnectionPool {
         }
     }
 
-    /// Runs one framed exchange on `conn`; on clean success the connection
-    /// goes back to the pool, on any failure (or protocol rejection) it is
-    /// dropped.
+    /// Submits `request` on the multiplexed connection and waits for its
+    /// answer until `hedge_at` (or the whole budget).
+    fn exchange_on_mux(
+        &self,
+        mux: &Arc<Multiplexer>,
+        request: &ShardRequest,
+        hedge_at: Option<Instant>,
+    ) -> Result<Progress, WireError> {
+        // One deadline bounds the credit wait and the answer wait: whatever
+        // the credit wait spent is no longer available to the answer, so a
+        // slow shard can never stretch a bounded exchange to 2× its budget.
+        let deadline = Instant::now() + self.read_budget_for(request);
+        let (id, rx) = mux.submit(request, deadline)?;
+        Ok(
+            match mux.wait(id, &rx, hedge_at.unwrap_or(deadline), deadline)? {
+                Some(response) => Progress::Answered(response),
+                None => Progress::Pending(Pending::Mux {
+                    mux: Arc::clone(mux),
+                    id,
+                    rx,
+                    deadline,
+                }),
+            },
+        )
+    }
+
+    /// Runs one framed exchange on `conn` (`reused`: it came from the idle
+    /// set), stopping at `hedge_at` with the exchange pending if no answer
+    /// byte has arrived.
     fn exchange_on(
         &self,
         mut conn: PooledConn,
+        reused: bool,
         request: &ShardRequest,
-    ) -> Result<ShardResponse, WireError> {
-        conn.transport
-            .set_read_budget(self.read_budget_for(request))?;
+        hedge_at: Option<Instant>,
+    ) -> Result<Progress, WireError> {
+        let budget = self.read_budget_for(request);
+        self.send_on(&mut conn, request)?;
+        if let Some(at) = hedge_at {
+            if !conn.transport.await_answer(at)? {
+                return Ok(Progress::Pending(Pending::Conn {
+                    conn,
+                    reused,
+                    budget,
+                }));
+            }
+        }
+        self.receive_on(conn, budget).map(Progress::Answered)
+    }
+
+    /// Writes one request frame on `conn`.
+    fn send_on(&self, conn: &mut PooledConn, request: &ShardRequest) -> Result<(), WireError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let encoding = self.frame_encoding();
-        let result = FRAME_SCRATCH.with(|cell| {
-            let scratch = &mut cell.borrow_mut();
-            let sent = write_request_frame_dict(
+        let sent = FRAME_SCRATCH.with(|cell| {
+            write_request_frame_dict(
                 &mut conn.transport,
                 id,
                 request,
                 encoding,
-                scratch,
+                &mut cell.borrow_mut(),
                 &mut conn.codec.tx,
-            )?;
-            self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
-            let (_, response, received) =
-                read_response_frame_dict(&mut conn.transport, scratch, &mut conn.codec.rx)?
-                    .ok_or_else(|| {
-                        WireError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "shard closed the connection before answering",
-                        ))
-                    })?;
-            self.counters
-                .bytes_received
-                .fetch_add(received, Ordering::Relaxed);
-            Ok::<ShardResponse, WireError>(response)
+            )
         });
         // Drain on every outcome — a failed exchange's defines are still
         // real table entries the peer may reference.
-        let (defines, hits) = conn.codec.take_counts();
-        self.counters.note_dict(defines, hits);
-        let response = result?;
+        self.drain_dict(conn);
+        self.counters.bytes_sent.fetch_add(sent?, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Reads the answer on `conn` within `budget`; on clean success the
+    /// connection goes back to the pool, on any failure (or protocol
+    /// rejection) it is dropped.
+    fn receive_on(
+        &self,
+        mut conn: PooledConn,
+        budget: Duration,
+    ) -> Result<ShardResponse, WireError> {
+        conn.transport.set_read_budget(budget)?;
+        let read = FRAME_SCRATCH.with(|cell| {
+            read_response_frame_dict(
+                &mut conn.transport,
+                &mut cell.borrow_mut(),
+                &mut conn.codec.rx,
+            )
+        });
+        self.drain_dict(&mut conn);
+        let (_, response, received) =
+            read?.ok_or_else(|| closed("shard closed the connection before answering"))?;
+        self.counters
+            .bytes_received
+            .fetch_add(received, Ordering::Relaxed);
         if conn.transport.is_ring() {
             self.counters.ring_exchanges.fetch_add(1, Ordering::Relaxed);
         }
@@ -809,6 +1077,12 @@ impl ConnectionPool {
             self.checkin(conn);
         }
         Ok(response)
+    }
+
+    /// Folds `conn`'s symbol-dictionary counts into the pool counters.
+    fn drain_dict(&self, conn: &mut PooledConn) {
+        let (defines, hits) = conn.codec.take_counts();
+        self.counters.note_dict(defines, hits);
     }
 
     /// Runs a coalesced burst on `conn`: every request frame in one
@@ -854,12 +1128,7 @@ impl ConnectionPool {
             for offset in 0..requests.len() as u64 {
                 let (id, response, received) =
                     read_response_frame_dict(&mut conn.transport, scratch, &mut conn.codec.rx)?
-                        .ok_or_else(|| {
-                            WireError::Io(std::io::Error::new(
-                                std::io::ErrorKind::UnexpectedEof,
-                                "shard closed the connection mid-burst",
-                            ))
-                        })?;
+                        .ok_or_else(|| closed("shard closed the connection mid-burst"))?;
                 self.counters
                     .bytes_received
                     .fetch_add(received, Ordering::Relaxed);
@@ -873,8 +1142,7 @@ impl ConnectionPool {
             }
             Ok::<Vec<ShardResponse>, WireError>(responses)
         });
-        let (defines, hits) = conn.codec.take_counts();
-        self.counters.note_dict(defines, hits);
+        self.drain_dict(&mut conn);
         let responses = result?;
         self.counters
             .frames_coalesced
@@ -901,6 +1169,12 @@ impl ConnectionPool {
         }
         // Over the bound (or pool_size 0): drop, closing the transport.
     }
+}
+
+/// The transport error of a shard that closed the connection where an
+/// answer was due.
+fn closed(what: &str) -> WireError {
+    WireError::Io(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what))
 }
 
 /// Probes an idle pooled connection: healthy means "no pending bytes, no
@@ -933,24 +1207,35 @@ fn connection_is_idle_and_live(stream: &TcpStream) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::remote::ShardServer;
     use crate::wire::{decode_request_payload_dict, write_response_frame, FrameBuffer};
+    use crate::EvalService;
+    use rsn_eval::{Backend, EvalError, EvalReport, Evaluator, WorkloadSpec};
     use std::net::TcpListener;
+
+    /// Every request a scripted peer received, in arrival order.
+    pub(crate) type RequestLog = Arc<Mutex<Vec<ShardRequest>>>;
 
     /// A raw binary peer: accepts connections, answers every hello with
     /// `hello_answer` and every other frame with `Supported(true)`,
-    /// counting connections accepted.
-    fn scripted_peer(hello_answer: ShardResponse) -> (String, Arc<AtomicU64>) {
+    /// counting connections accepted and logging every request.
+    pub(crate) fn scripted_peer(
+        hello_answer: ShardResponse,
+    ) -> (String, Arc<AtomicU64>, RequestLog) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
         let addr = listener.local_addr().expect("peer addr").to_string();
         let accepted = Arc::new(AtomicU64::new(0));
         let count = Arc::clone(&accepted);
+        let log: RequestLog = Arc::default();
+        let seen = Arc::clone(&log);
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { break };
                 count.fetch_add(1, Ordering::SeqCst);
                 let hello_answer = hello_answer.clone();
+                let seen = Arc::clone(&seen);
                 std::thread::spawn(move || {
                     // Dictionary-capable, like a real shard: the pool sends
                     // dictionary frames once its hello has answered.
@@ -975,6 +1260,7 @@ mod tests {
                             ShardRequest::Hello { .. } => hello_answer.clone(),
                             _ => ShardResponse::Supported(true),
                         };
+                        seen.lock().expect("request log").push(request);
                         if write_response_frame(&mut stream, id, &response, &mut scratch).is_err() {
                             return;
                         }
@@ -982,17 +1268,18 @@ mod tests {
                 });
             }
         });
-        (addr, accepted)
+        (addr, accepted, log)
     }
 
     /// A well-behaved peer: a current-version hello answer, no ring.
     fn current_peer() -> (String, Arc<AtomicU64>) {
-        scripted_peer(ShardResponse::Backends {
+        let (addr, accepted, _) = scripted_peer(ShardResponse::Backends {
             names: Vec::new(),
             protocol: PROTOCOL_VERSION,
             ring: None,
             window: None,
-        })
+        });
+        (addr, accepted)
     }
 
     fn probe_request() -> ShardRequest {
@@ -1080,7 +1367,7 @@ mod tests {
                 ..RemoteConfig::default()
             },
         );
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         match pool.exchange(&probe_request()) {
             Err(WireError::Io(_)) => {}
             other => panic!("expected an I/O error, got {other:?}"),
@@ -1091,7 +1378,7 @@ mod tests {
 
     #[test]
     fn a_rejected_hello_is_a_refusal_not_a_usable_connection() {
-        let (addr, _accepted) = scripted_peer(ShardResponse::Rejected("go away".to_string()));
+        let (addr, _, _) = scripted_peer(ShardResponse::Rejected("go away".to_string()));
         let pool = ConnectionPool::new(&addr, RemoteConfig::default());
         match pool.exchange(&probe_request()) {
             Err(WireError::Rejected(message)) => assert_eq!(message, "go away"),
@@ -1107,7 +1394,7 @@ mod tests {
 
     #[test]
     fn a_hello_from_another_version_is_refused_naming_both() {
-        let (addr, _accepted) = scripted_peer(ShardResponse::Backends {
+        let (addr, _, _) = scripted_peer(ShardResponse::Backends {
             names: vec!["rsn-xnn".to_string()],
             protocol: PROTOCOL_VERSION + 1,
             ring: None,
@@ -1140,5 +1427,219 @@ mod tests {
         ));
         assert!(!socket_only.negotiated());
         assert_eq!(socket_only.frame_encoding(), WireEncoding::Binary);
+    }
+
+    /// Evaluation permits: a [`Gated`] backend answers only once the test
+    /// releases one, so "late" is forced, not a race against a sleep.
+    #[derive(Default)]
+    struct Gate {
+        permits: Mutex<usize>,
+        released: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn release(&self, permits: usize) {
+            *self.permits.lock().expect("gate lock") += permits;
+            self.released.notify_all();
+        }
+
+        fn take(&self) {
+            let mut permits = self.permits.lock().expect("gate lock");
+            while *permits == 0 {
+                permits = self.released.wait(permits).expect("gate lock");
+            }
+            *permits -= 1;
+        }
+    }
+
+    /// A backend whose every evaluation waits for a permit from its gate.
+    struct Gated(Arc<Gate>);
+
+    impl Backend for Gated {
+        fn name(&self) -> &str {
+            "gated"
+        }
+        fn supports(&self, _: &WorkloadSpec) -> bool {
+            true
+        }
+        fn evaluate(&self, w: &WorkloadSpec) -> Result<EvalReport, EvalError> {
+            self.0.take();
+            Ok(EvalReport::new(self.name(), w.name()))
+        }
+    }
+
+    /// A real shard hosting [`Gated`]: it offers rings to loopback peers,
+    /// so the pool's transport policy picks ring or TCP.
+    fn gated_shard() -> (ShardServer, Arc<Gate>) {
+        let gate = Arc::new(Gate::default());
+        let backend = Box::new(Gated(Arc::clone(&gate)));
+        let server = ShardServer::bind(
+            "127.0.0.1:0",
+            EvalService::new(Evaluator::empty().with_backend(backend)),
+        )
+        .expect("bind gated shard");
+        (server, gate)
+    }
+
+    fn hello_pool(server: &ShardServer, transport: TransportPolicy) -> Arc<ConnectionPool> {
+        let pool = Arc::new(ConnectionPool::new(
+            &server.local_addr().to_string(),
+            RemoteConfig {
+                transport,
+                ..RemoteConfig::default()
+            },
+        ));
+        pool.negotiate().expect("hello");
+        pool
+    }
+
+    /// An evaluation the shard has not cached: `n` keeps it distinct.
+    fn evaluation(n: usize) -> (ShardRequest, ShardResponse) {
+        let spec = WorkloadSpec::SquareGemm { n };
+        let answer = Arc::new(Ok(EvalReport::new("gated", spec.name())));
+        let request = ShardRequest::Evaluate {
+            backend: "gated".to_string(),
+            spec,
+        };
+        (request, ShardResponse::Evaluated(answer))
+    }
+
+    fn expect_late(exchanged: Exchanged) -> Late {
+        match exchanged {
+            Exchanged::Late(late) => late,
+            other => panic!("expected a late exchange, got {other:?}"),
+        }
+    }
+
+    fn late_exchange_finishes_like_exchange(transport: TransportPolicy) {
+        let (server, gate) = gated_shard();
+        let pool = hello_pool(&server, transport);
+        assert_eq!(
+            pool.idle_connections(),
+            1,
+            "the hello left one warm connection"
+        );
+        let before = pool.stats();
+
+        // No permit: the shard cannot answer, so the exchange is late.
+        let (request, expected) = evaluation(64);
+        let late = expect_late(
+            pool.exchange_hedged(&request, Duration::from_millis(1))
+                .expect("sent"),
+        );
+        assert_eq!(
+            pool.idle_connections(),
+            0,
+            "the late exchange owns its connection"
+        );
+        gate.release(1);
+        let response = std::thread::spawn(move || late.finish())
+            .join()
+            .expect("finishing thread")
+            .expect("late answer");
+        assert_eq!(response, expected);
+        assert_eq!(
+            pool.idle_connections(),
+            1,
+            "finish checked the connection in"
+        );
+        let after = pool.stats();
+        assert_eq!(after.reused, before.reused + 1);
+        assert_eq!(after.dials, before.dials);
+
+        // The pooled connection serves the next exchanges: a hedged one
+        // answered in time, then a plain one.
+        gate.release(2);
+        let (request, expected) = evaluation(65);
+        match pool
+            .exchange_hedged(&request, Duration::from_secs(10))
+            .expect("sent")
+        {
+            Exchanged::Answer(response) => assert_eq!(response, expected),
+            other => panic!("a permitted answer missed a 10 s hedge point: {other:?}"),
+        }
+        let (request, expected) = evaluation(66);
+        assert_eq!(pool.exchange(&request).expect("plain exchange"), expected);
+        let last = pool.stats();
+        assert_eq!(
+            last.checkouts - before.checkouts,
+            3,
+            "one checkout per exchange"
+        );
+        assert_eq!(last.reused, before.reused + 3);
+        assert_eq!(last.dials, before.dials, "no exchange dialled");
+        assert_eq!(pool.idle_connections(), 1);
+        assert_eq!(
+            last.ring_exchanges > 0,
+            transport == TransportPolicy::Auto,
+            "transport under test: {transport:?}"
+        );
+    }
+
+    #[test]
+    fn late_tcp_exchange_finishes_like_exchange() {
+        late_exchange_finishes_like_exchange(TransportPolicy::Socket);
+    }
+
+    #[test]
+    fn late_ring_exchange_finishes_like_exchange() {
+        late_exchange_finishes_like_exchange(TransportPolicy::Auto);
+    }
+
+    #[test]
+    fn hedged_exchange_sends_nothing_without_a_ready_connection() {
+        let (server, gate) = gated_shard();
+        let pool = Arc::new(ConnectionPool::new(
+            &server.local_addr().to_string(),
+            RemoteConfig::default(),
+        ));
+        let hedge = Duration::from_millis(1);
+        let (request, expected) = evaluation(64);
+        // No hello yet, and saying one could block past the hedge point.
+        assert!(matches!(
+            pool.exchange_hedged(&request, hedge),
+            Ok(Exchanged::Unsent)
+        ));
+        assert_eq!(pool.stats().dials, 0, "nothing dialled");
+        pool.negotiate().expect("hello");
+        let dials = pool.stats().dials;
+        let late = expect_late(pool.exchange_hedged(&request, hedge).expect("sent"));
+        // The only connection is out with the late exchange: another
+        // exchange would have to dial.
+        let (other, _) = evaluation(65);
+        assert!(matches!(
+            pool.exchange_hedged(&other, hedge),
+            Ok(Exchanged::Unsent)
+        ));
+        let stats = pool.stats();
+        assert_eq!(stats.dials, dials, "nothing dialled");
+        assert_eq!(stats.checkouts, 2, "the hello and the late exchange");
+        gate.release(1);
+        assert_eq!(late.finish().expect("late answer"), expected);
+    }
+
+    fn late_exchange_fails_when_the_peer_closes(transport: TransportPolicy) {
+        let (server, gate) = gated_shard();
+        let pool = hello_pool(&server, transport);
+        let (request, _) = evaluation(64);
+        let late = expect_late(
+            pool.exchange_hedged(&request, Duration::from_millis(1))
+                .expect("sent"),
+        );
+        drop(server); // severs every connection mid-exchange
+        assert!(late.finish().is_err(), "a closed peer cannot answer");
+        assert_eq!(pool.idle_connections(), 0, "nothing pooled");
+        assert_eq!(pool.stats().reused, 0, "a failed late exchange is no reuse");
+        gate.release(1); // let the shard's worker finish into the void
+    }
+
+    #[test]
+    fn late_tcp_exchange_fails_when_the_peer_closes() {
+        late_exchange_fails_when_the_peer_closes(TransportPolicy::Socket);
+    }
+
+    #[test]
+    fn late_ring_exchange_fails_when_the_peer_closes() {
+        late_exchange_fails_when_the_peer_closes(TransportPolicy::Auto);
     }
 }

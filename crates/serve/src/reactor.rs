@@ -1139,21 +1139,40 @@ impl Multiplexer {
         !self.inner.dead.load(Ordering::Acquire)
     }
 
-    /// One request/response exchange, sharing the connection with every
-    /// concurrent caller.  `budget` bounds the whole exchange (credit
-    /// wait plus response wait); on timeout the request is cancelled.
-    pub fn exchange(
+    /// Whether a credit is free right now.  A hint: a concurrent submitter
+    /// may take it first, and [`submit`](Self::submit) then waits.
+    pub(crate) fn has_credit(&self) -> bool {
+        self.inner.state.lock().expect("mux state lock").in_use < self.inner.window
+    }
+
+    /// Waits for request `id`'s answer on `rx` (both from
+    /// [`submit`](Self::submit)) until the exchange `deadline`, cancelling
+    /// the request if the deadline comes first.
+    pub(crate) fn finish(
         &self,
-        request: &ShardRequest,
-        budget: Duration,
+        id: u64,
+        rx: &mpsc::Receiver<ShardResponse>,
+        deadline: Instant,
     ) -> Result<ShardResponse, WireError> {
-        // One deadline bounds both halves: whatever the credit wait spent
-        // is no longer available to the response wait, so a slow shard can
-        // never stretch a "bounded" exchange to 2× its budget.
-        let deadline = Instant::now() + budget;
-        let (id, rx) = self.submit(request, deadline)?;
-        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-            Ok(response) => Ok(response),
+        self.wait(id, rx, deadline, deadline)?
+            .ok_or_else(|| timeout_error("multiplexed exchange timed out"))
+    }
+
+    /// Waits for request `id`'s answer on `rx` until `until`.  `Ok(None)` means `until`
+    /// came first and before the exchange `deadline`: the request stays in
+    /// flight with its credit held, and may be waited on again.  Reaching
+    /// the deadline itself cancels the request and fails the wait.
+    pub(crate) fn wait(
+        &self,
+        id: u64,
+        rx: &mpsc::Receiver<ShardResponse>,
+        until: Instant,
+        deadline: Instant,
+    ) -> Result<Option<ShardResponse>, WireError> {
+        let until = until.min(deadline);
+        match rx.recv_timeout(until.saturating_duration_since(Instant::now())) {
+            Ok(response) => Ok(Some(response)),
+            Err(mpsc::RecvTimeoutError::Timeout) if until < deadline => Ok(None),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 self.cancel_local(id);
                 Err(timeout_error("multiplexed exchange timed out"))
@@ -1213,7 +1232,7 @@ impl Multiplexer {
     /// into the outbound buffer, and wakes the reactor thread.  `deadline`
     /// is the *exchange's* deadline, shared with the caller's response
     /// wait — the credit wait must not get a fresh allowance of its own.
-    fn submit(
+    pub(crate) fn submit(
         &self,
         request: &ShardRequest,
         deadline: Instant,
@@ -1665,6 +1684,18 @@ mod tests {
         .expect("mux starts")
     }
 
+    /// One exchange the way the pool runs it: submit, then wait, both
+    /// against one deadline.
+    fn exchange(
+        mux: &Multiplexer,
+        request: &ShardRequest,
+        budget: Duration,
+    ) -> Result<ShardResponse, WireError> {
+        let deadline = Instant::now() + budget;
+        let (id, rx) = mux.submit(request, deadline)?;
+        mux.finish(id, &rx, deadline)
+    }
+
     #[test]
     fn exchange_budget_is_not_rearmed_by_a_late_credit() {
         let budget = Duration::from_millis(600);
@@ -1674,12 +1705,12 @@ mod tests {
         let mux = Arc::new(budget_mux(addr, 1));
         let first = {
             let mux = Arc::clone(&mux);
-            std::thread::spawn(move || mux.exchange(&probe_request(1), budget))
+            std::thread::spawn(move || exchange(&mux, &probe_request(1), budget))
         };
         // Let the first exchange take the credit before contending for it.
         std::thread::sleep(Duration::from_millis(50));
         let start = Instant::now();
-        let second = mux.exchange(&probe_request(2), budget);
+        let second = exchange(&mux, &probe_request(2), budget);
         let elapsed = start.elapsed();
         assert!(second.is_err(), "withheld response must time out");
         assert!(

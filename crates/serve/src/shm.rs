@@ -519,6 +519,25 @@ impl RingConn {
         }
     }
 
+    /// Waits until response bytes are ready to read (`Ok(true)`) or
+    /// `deadline` passes first (`Ok(false)`), with the same spin-then-park
+    /// wait and liveness checks as a read.  Consumes nothing.
+    pub fn wait_readable(&self, deadline: Instant) -> io::Result<bool> {
+        let mut parker = Parker::new();
+        loop {
+            if self.pending_pos < self.pending.len() || self.consumer.available()? > 0 {
+                return Ok(true);
+            }
+            if Instant::now() >= deadline {
+                return Ok(false);
+            }
+            if parker.is_parking() {
+                self.peer_alive()?;
+            }
+            parker.park();
+        }
+    }
+
     /// Moves any ready inbound bytes into the pending buffer (see the type
     /// docs for why the write path must do this).
     fn pump(&mut self) -> io::Result<()> {

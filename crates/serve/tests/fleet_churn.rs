@@ -10,7 +10,10 @@
 //!   replica's breaker trips, and `hedges_won + failovers > 0` shows the
 //!   resilience machinery (not luck) absorbed the outage;
 //! * a stalled (slow) replica is hedged against after the per-group
-//!   latency budget, and the fast sibling's answer wins;
+//!   latency budget, and the fast sibling's answer wins well before the
+//!   stall ends;
+//! * a replica that accepts connections but never answers costs the
+//!   caller the hedge budget, not the transport timeout;
 //! * editing the topology file on disk re-admits a replaced shard through
 //!   [`FleetController::reload`]/[`ShardRouter::watch`] without restarting
 //!   the service.
@@ -223,12 +226,36 @@ fn hedged_requests_beat_a_stalled_replica() {
         .build_fleet()
         .expect("unique backend names");
 
+    // Connection set-up (dial, ring, hello) is not what the bound below
+    // measures, and no hedge can hide it on the fast replica: warm that
+    // replica's pool first.
+    let mut warm = 1000;
+    while service
+        .stats()
+        .pool(&addr_fast)
+        .is_none_or(|pool| pool.checkouts == 0)
+    {
+        let spec = WorkloadSpec::SquareGemm { n: warm };
+        assert_clean(&service.evaluate(&spec)[0], &spec);
+        warm += 1;
+    }
+
     // Distinct specs so rendezvous routing sends roughly half to the slow
-    // primary — those are the ones that hedge.
+    // primary — those are the ones that hedge.  Every answer must beat the
+    // 80 ms stall by a wide margin: a fleet that launched the hedge but
+    // still waited out its primary would not.
+    let mut slowest = Duration::ZERO;
     for n in 1..=32 {
         let spec = WorkloadSpec::SquareGemm { n };
-        assert_clean(&service.evaluate(&spec)[0], &spec);
+        let started = Instant::now();
+        let result = service.evaluate(&spec);
+        slowest = slowest.max(started.elapsed());
+        assert_clean(&result[0], &spec);
     }
+    assert!(
+        slowest < Duration::from_millis(40),
+        "the hedge must answer before the 80 ms stall; slowest answer {slowest:?}"
+    );
 
     let stats = service.stats();
     let launched: u64 = stats.remote_pools.iter().map(|p| p.hedges_launched).sum();
@@ -241,6 +268,38 @@ fn hedged_requests_beat_a_stalled_replica() {
     // Wins land on the replica that answered, not the one that stalled.
     let fast_pool = stats.pool(&addr_fast).expect("fast replica registered");
     assert!(fast_pool.hedges_won > 0);
+}
+
+#[test]
+fn a_replica_that_never_answers_is_hedged_without_blocking_the_caller() {
+    // A listener that is never accepted from: the kernel completes every
+    // connect, and then nothing is ever read or answered — a hung shard.
+    let hung = std::net::TcpListener::bind("127.0.0.1:0").expect("bind hung replica");
+    let addr_hung = hung.local_addr().expect("hung addr").to_string();
+    let fast = square_shard(Duration::ZERO);
+    let addr_fast = fast.local_addr().to_string();
+
+    let mut topology = square_fleet_topology(&[addr_hung, addr_fast], 5_000);
+    let io_timeout = Duration::from_secs(2);
+    topology.service.remote.io_timeout = io_timeout;
+    let (service, _controller) = ShardRouter::from_topology(&topology)
+        .expect("assemble fleet")
+        .build_fleet()
+        .expect("unique backend names");
+
+    // Specs that prefer the hung replica must be answered by the hedge,
+    // never after the caller waited out a hello, dial or read on it.
+    for n in 1..=16 {
+        let spec = WorkloadSpec::SquareGemm { n };
+        let started = Instant::now();
+        let result = service.evaluate(&spec);
+        assert_clean(&result[0], &spec);
+        assert!(
+            started.elapsed() < io_timeout / 2,
+            "spec {n} waited {:?} on the hung replica",
+            started.elapsed()
+        );
+    }
 }
 
 #[test]
