@@ -391,9 +391,10 @@ impl<W> CacheTxn<'_, W> {
     /// Read-only hit probe by borrowed spec: bumps recency and returns the
     /// cached result on a hit, but — unlike [`Self::lookup_or_reserve`] —
     /// never inserts an in-flight entry, queues a waiter, or clones the
-    /// spec.  The shard's inline burst path probes with the plain specs it
-    /// decoded off the wire, so a hit costs one hash and zero allocations;
-    /// a miss leaves the cache untouched (the caller evaluates and then
+    /// spec.  The service's submit path and the shard's inline burst path
+    /// probe with the plain specs they were handed, so a hit costs one
+    /// hash and zero allocations; a miss leaves the cache untouched (the
+    /// caller queues the member for the batcher, or evaluates and then
     /// [`Self::publish`]es).
     pub fn peek(&mut self, backend: usize, spec: &WorkloadSpec) -> Option<CachedResult> {
         let state = &mut *self.state;

@@ -17,8 +17,9 @@
 //!   (counted as `failovers` on the failed pool).  Only when every
 //!   replica has failed does [`EvalError::Transport`] surface.
 //! * **Hedging** — when an exchange outlives the group's hedge budget
-//!   (explicit `hedge_budget_us`, or derived from the primary pool's
-//!   [`observed_exchange_p95`](crate::ConnectionPool::observed_exchange_p95)),
+//!   (explicit `hedge_budget_us`, or derived from the p95 of the primary
+//!   replica's own exchanges for this group — not of its shard's whole
+//!   pool, which other groups' backends share),
 //!   the same exchange is re-issued against the next sibling and the
 //!   first answer wins (`hedges_launched`/`hedges_won`).  The primary
 //!   runs on the caller's thread up to the budget
@@ -49,6 +50,7 @@
 use crate::config::{BreakerConfig, RemoteConfig};
 use crate::pool::{ConnectionPool, Exchanged, Late};
 use crate::service::PoolRegistry;
+use crate::stats::LatencyRecorder;
 use crate::topology::{ReplicaGroupDecl, Topology, TopologyError};
 use crate::wire::{ShardRequest, ShardResponse, SharedResult, WireError};
 use rsn_eval::fnv::FnvBuild;
@@ -65,6 +67,11 @@ use std::time::{Duration, Instant};
 /// duplicate work and the threads a late exchange starts become their
 /// own tail; an explicit `hedge_budget_us` is taken verbatim.
 const MIN_DERIVED_HEDGE_BUDGET: Duration = Duration::from_micros(500);
+
+/// Clean exchanges a replica must have answered for its group before its
+/// p95 derives a hedge budget: a fresh replica must not hedge on one
+/// unlucky measurement.
+const MIN_HEDGE_SAMPLES: u64 = 16;
 
 /// The per-shard [`RemoteConfig`] a topology implies for `addr`: the
 /// topology's base remote tuning with the matching `remotes[]`
@@ -154,12 +161,15 @@ enum Admission {
     Skip,
 }
 
-/// One member shard of a replicated group: its connection pool plus the
-/// circuit breaker guarding it.
+/// One member shard of a replicated group: its connection pool, the
+/// circuit breaker guarding it, and the wall times of the group's clean
+/// exchanges on it.  The pool may be shared with other groups placed on
+/// the same shard; the breaker and the latencies are this group's own.
 #[derive(Debug)]
 pub(crate) struct Replica {
     pool: Arc<ConnectionPool>,
     breaker: Mutex<Breaker>,
+    latency: LatencyRecorder,
 }
 
 impl Replica {
@@ -167,7 +177,32 @@ impl Replica {
         Self {
             pool,
             breaker: Mutex::new(Breaker::new()),
+            latency: LatencyRecorder::default(),
         }
+    }
+
+    /// Records the wall time since `started` of an exchange that got an
+    /// answer.  Failures are the breaker's signal, not a latency sample,
+    /// and a timeout would drag the p95 toward the very budget it derives.
+    fn timed(
+        &self,
+        started: Instant,
+        exchanged: Result<ShardResponse, WireError>,
+    ) -> Result<ShardResponse, WireError> {
+        if exchanged.is_ok() {
+            self.latency.record(started.elapsed());
+        }
+        exchanged
+    }
+
+    /// The p95 of this group's clean exchanges on this replica, once
+    /// [`MIN_HEDGE_SAMPLES`] exist.
+    fn observed_p95(&self) -> Option<Duration> {
+        let histogram = self.latency.snapshot();
+        if histogram.count < MIN_HEDGE_SAMPLES {
+            return None;
+        }
+        histogram.p95().map(Duration::from_micros)
     }
 
     fn addr(&self) -> &str {
@@ -247,7 +282,7 @@ pub(crate) struct FleetState {
     backend: String,
     replicas: RwLock<Vec<Arc<Replica>>>,
     /// Explicit hedge budget in µs; 0 means "derive from the primary
-    /// pool's observed p95".
+    /// replica's observed p95".
     hedge_budget_us: AtomicU64,
     breaker_cfg: RwLock<BreakerConfig>,
 }
@@ -287,14 +322,14 @@ impl FleetState {
     }
 
     /// The hedge budget for an exchange whose primary is `replica`:
-    /// explicit if the topology pinned one, otherwise the primary pool's
-    /// observed p95 (floored — see [`MIN_DERIVED_HEDGE_BUDGET`]), or
-    /// `None` (no hedging) until enough latency samples exist.
+    /// explicit if the topology pinned one, otherwise the p95 of this
+    /// group's exchanges on that replica (floored — see
+    /// [`MIN_DERIVED_HEDGE_BUDGET`]), or `None` (no hedging) until enough
+    /// latency samples exist.
     fn hedge_budget(&self, primary: &Replica) -> Option<Duration> {
         match self.hedge_budget_us.load(Ordering::Relaxed) {
             0 => primary
-                .pool()
-                .observed_exchange_p95()
+                .observed_p95()
                 .map(|p95| p95.max(MIN_DERIVED_HEDGE_BUDGET)),
             us => Some(Duration::from_micros(us)),
         }
@@ -383,7 +418,10 @@ fn settle(
 /// refusal or a dead replica fails the attempt over.
 fn attempt(replica: &Replica, cfg: &BreakerConfig, request: &ShardRequest) -> AttemptResult {
     let pool = replica.pool();
-    let exchanged = pool.negotiate().and_then(|()| pool.exchange(request));
+    let exchanged = pool.negotiate().and_then(|()| {
+        let started = Instant::now();
+        replica.timed(started, pool.exchange(request))
+    });
     settle(replica, cfg, request, exchanged)
 }
 
@@ -391,8 +429,8 @@ fn attempt(replica: &Replica, cfg: &BreakerConfig, request: &ShardRequest) -> At
 enum Primary {
     /// Answered or failed by its hedge point.
     Done(AttemptResult),
-    /// Still in flight at its hedge point.
-    Late(Late),
+    /// Still in flight at its hedge point (sent at `started`).
+    Late { late: Late, started: Instant },
     /// Not sent: the pool had no connection ready without blocking.
     Unsent,
 }
@@ -404,10 +442,11 @@ fn attempt_until(
     request: &ShardRequest,
     hedge: Duration,
 ) -> Primary {
+    let started = Instant::now();
     let exchanged = match replica.pool().exchange_hedged(request, hedge) {
         Ok(Exchanged::Unsent) => return Primary::Unsent,
-        Ok(Exchanged::Late(late)) => return Primary::Late(late),
-        Ok(Exchanged::Answer(response)) => Ok(response),
+        Ok(Exchanged::Late(late)) => return Primary::Late { late, started },
+        Ok(Exchanged::Answer(response)) => replica.timed(started, Ok(response)),
         Err(error) => Err(error),
     };
     Primary::Done(settle(replica, cfg, request, exchanged))
@@ -502,12 +541,13 @@ fn run(state: &FleetState, request: &Arc<ShardRequest>) -> Result<Vec<SharedResu
         Primary::Unsent => spawn_attempt(0),
         // Outlived its budget: finish it on a thread of its own and race
         // one sibling now.
-        Primary::Late(late) => {
+        Primary::Late { late, started } => {
             let replica = Arc::clone(&candidates[0]);
             let request = Arc::clone(request);
             let tx = tx.clone();
             std::thread::spawn(move || {
-                let result = settle(&replica, &cfg, &request, late.finish());
+                let exchanged = replica.timed(started, late.finish());
+                let result = settle(&replica, &cfg, &request, exchanged);
                 let _ = tx.send((0, result));
             });
             candidates[0]
@@ -1086,6 +1126,84 @@ mod tests {
                 .iter()
                 .any(|request| matches!(request, ShardRequest::Supports { .. })),
             "a refused replica must not be asked, saw {seen:?}"
+        );
+    }
+
+    /// Answers every spec after a fixed delay.
+    struct Paced {
+        name: &'static str,
+        delay: Duration,
+    }
+
+    impl Backend for Paced {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn supports(&self, _: &WorkloadSpec) -> bool {
+            true
+        }
+        fn evaluate(&self, w: &WorkloadSpec) -> Result<EvalReport, EvalError> {
+            std::thread::sleep(self.delay);
+            Ok(EvalReport::new(self.name, w.name()))
+        }
+    }
+
+    #[test]
+    fn each_group_derives_its_hedge_budget_from_its_own_exchanges() {
+        let pacing = Duration::from_millis(20);
+        let server = crate::ShardServer::bind(
+            "127.0.0.1:0",
+            crate::EvalService::new(
+                rsn_eval::Evaluator::empty()
+                    .with_backend(Box::new(Paced {
+                        name: "fast",
+                        delay: Duration::ZERO,
+                    }))
+                    .with_backend(Box::new(Paced {
+                        name: "paced",
+                        delay: pacing,
+                    })),
+            ),
+        )
+        .expect("bind loopback shard");
+        let addr = server.local_addr().to_string();
+        // One pool for the shard, shared by both groups the way
+        // `ShardRouter` shares a pool per address.
+        let pool = Arc::new(ConnectionPool::new(&addr, RemoteConfig::default()));
+        let group = |backend: &str| {
+            let decl = ReplicaGroupDecl::new(backend, &[&addr]);
+            Arc::new(FleetState::new(&decl, vec![Arc::clone(&pool)]))
+        };
+        let (fast, paced) = (group("fast"), group("paced"));
+        let budget = |state: &FleetState| state.hedge_budget(&state.snapshot()[0]);
+        let run_one = |state: &Arc<FleetState>, n: usize| {
+            // Distinct specs: a shard cache hit would answer the paced
+            // backend without its delay.
+            let report = FleetBackend::from_state(Arc::clone(state)).evaluate(&spec(n));
+            assert!(report.is_ok(), "{report:?}");
+        };
+        let samples = MIN_HEDGE_SAMPLES as usize;
+        for n in 1..samples {
+            run_one(&fast, n);
+            run_one(&paced, n);
+        }
+        assert_eq!(
+            budget(&fast),
+            None,
+            "fewer than {samples} samples of its own"
+        );
+        assert_eq!(budget(&paced), None);
+        run_one(&fast, samples);
+        run_one(&paced, samples);
+        let fast_budget = budget(&fast).expect("fast group has its samples");
+        let paced_budget = budget(&paced).expect("paced group has its samples");
+        assert!(
+            fast_budget >= MIN_DERIVED_HEDGE_BUDGET && fast_budget < pacing,
+            "fast group's budget {fast_budget:?} must not come from paced exchanges"
+        );
+        assert!(
+            paced_budget >= pacing,
+            "paced group's budget {paced_budget:?} must cover its {pacing:?} exchanges"
         );
     }
 

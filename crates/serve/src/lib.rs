@@ -9,6 +9,9 @@
 //! EvalRequest { spec, backends, priority }
 //!        │ submit()
 //!        ▼
+//!  report cache probe ── hit: answered on the submitting thread
+//!        │ miss
+//!        ▼
 //!  priority queues ──► micro-batcher (size- and deadline-bounded)
 //!                              │
 //!                              ▼
@@ -25,10 +28,13 @@
 //!   exactly once;
 //! * [`ServiceConfig`] bounds the micro-batcher (batch size, deadline) and
 //!   sizes the per-backend worker pools;
-//! * identical in-flight `(backend, spec)` pairs are deduplicated through
-//!   the report cache — callers of a deduplicated key receive clones of the
-//!   same [`EvalReport`](rsn_eval::EvalReport), and
-//!   [`ServiceStats`] exposes hit/miss/in-flight-merge counters;
+//! * cached `(backend, spec)` pairs are answered at submission, before
+//!   anything is queued, so a request whose every answer is cached never
+//!   waits for the micro-batcher; identical in-flight pairs are
+//!   deduplicated through the same report cache — callers of a
+//!   deduplicated key receive clones of the same
+//!   [`EvalReport`](rsn_eval::EvalReport), and [`ServiceStats`] exposes
+//!   hit/miss/in-flight-merge counters;
 //! * a panicking or erroring backend fails only requests that selected it:
 //!   worker pools are per-backend shards with panic isolation
 //!   ([`EvalError::Panicked`](rsn_eval::EvalError));
@@ -73,7 +79,7 @@
 //! let handle = service.submit(
 //!     EvalRequest::all(WorkloadSpec::SquareGemm { n: 256 }).with_priority(Priority::High),
 //! );
-//! // ... submit more requests; they coalesce into micro-batches ...
+//! // ... submit more requests; uncached ones coalesce into micro-batches ...
 //! let response = handle.wait();
 //! assert_eq!(response.results.len(), 1);
 //! ```

@@ -46,19 +46,15 @@
 //! [`exchange_hedged`](ConnectionPool::exchange_hedged): the same code as
 //! [`exchange`](ConnectionPool::exchange), but it stops waiting at a hedge
 //! point and hands back a [`Late`] handle when no answer byte has arrived
-//! by then, so only a late exchange needs a thread of its own.  Two pieces
-//! of per-pool state exist for that layer:
-//!
-//! * every successful exchange's wall time feeds a latency histogram, and
-//!   [`observed_exchange_p95`](ConnectionPool::observed_exchange_p95)
-//!   exposes its p95 — the default **hedge budget** (how long the fleet
-//!   waits before racing a sibling replica) when the topology does not
-//!   pin one;
-//! * the `hedges_launched`/`hedges_won`/`failovers`/`breaker_trips`/
-//!   `breaker_fast_fails` counters record what the fleet layer did with
-//!   this pool, surfaced through the same
-//!   [`ServiceStats::remote_pools`](crate::ServiceStats::remote_pools)
-//!   snapshot as the transport counters.
+//! by then, so only a late exchange needs a thread of its own.  The
+//! `hedges_launched`/`hedges_won`/`failovers`/`breaker_trips`/
+//! `breaker_fast_fails` counters record what the fleet layer did with
+//! this pool, surfaced through the same
+//! [`ServiceStats::remote_pools`](crate::ServiceStats::remote_pools)
+//! snapshot as the transport counters.  Exchange latency for the hedge
+//! budget is kept by the fleet per replica of each group, not here: one
+//! shard's pool serves every group placed on it, whose backends may be
+//! orders of magnitude apart.
 //!
 //! Construction never dials ([`ConnectionPool::new`] is lazy — the first
 //! exchange pays the connect), so a pool for a currently-dead replica can
@@ -69,7 +65,7 @@ use crate::binary::ConnCodec;
 use crate::config::{EncodingPolicy, RemoteConfig, TransportPolicy};
 use crate::reactor::Multiplexer;
 use crate::shm::{RingConn, Segment};
-use crate::stats::{LatencyRecorder, PoolStats};
+use crate::stats::PoolStats;
 use crate::wire::{
     read_response_frame, read_response_frame_dict, version_mismatch, write_request_frame,
     write_request_frame_dict, ShardRequest, ShardResponse, WireEncoding, WireError,
@@ -289,9 +285,6 @@ pub(crate) struct PoolCounters {
     /// Label occurrences resolved through those dictionaries instead of
     /// re-sending string bytes (both directions).
     pub dict_hits: AtomicU64,
-    /// Wall time of every *successful* exchange; its p95 is the default
-    /// hedge budget ([`ConnectionPool::observed_exchange_p95`]).
-    pub exchange_latency: LatencyRecorder,
 }
 
 impl PoolCounters {
@@ -338,17 +331,16 @@ pub enum Exchanged {
 #[derive(Debug)]
 pub struct Late {
     pool: Arc<ConnectionPool>,
-    started: Instant,
     pending: Pending,
 }
 
 impl Late {
-    /// Reads the answer with the exchange's full read budget, then records
-    /// latency and checks the connection back in exactly as
+    /// Reads the answer with the exchange's full read budget, then counts
+    /// and checks the connection back in exactly as
     /// [`ConnectionPool::exchange`] does.  A failure here is not retried:
     /// the exchange is already racing a sibling, which is its retry.
     pub fn finish(self) -> Result<ShardResponse, WireError> {
-        self.pool.finish(self.pending, self.started)
+        self.pool.finish(self.pending)
     }
 }
 
@@ -520,23 +512,6 @@ impl ConnectionPool {
         &self.counters
     }
 
-    /// The 95th percentile of this pool's successful-exchange wall times,
-    /// once at least [`Self::P95_MIN_SAMPLES`] exchanges have completed —
-    /// the observed-latency source for the fleet layer's default hedge
-    /// budget.  `None` until enough samples exist (a freshly-dialled pool
-    /// must not hedge on one unlucky measurement).
-    pub fn observed_exchange_p95(&self) -> Option<Duration> {
-        let histogram = self.counters.exchange_latency.snapshot();
-        if histogram.count < Self::P95_MIN_SAMPLES {
-            return None;
-        }
-        histogram.p95().map(Duration::from_micros)
-    }
-
-    /// Successful exchanges required before
-    /// [`observed_exchange_p95`](Self::observed_exchange_p95) reports.
-    pub const P95_MIN_SAMPLES: u64 = 16;
-
     /// Performs the `hello` handshake, recording the outcome (see the
     /// module docs), and returns the hosted backend names in registration
     /// order.
@@ -599,10 +574,9 @@ impl ConnectionPool {
     /// failure surfaces immediately.  The same code as
     /// [`exchange_hedged`](Self::exchange_hedged), with no hedge point.
     pub fn exchange(&self, request: &ShardRequest) -> Result<ShardResponse, WireError> {
-        let started = Instant::now();
-        match self.exchange_until(request, None, started)? {
+        match self.exchange_until(request, None)? {
             Progress::Answered(response) => Ok(response),
-            Progress::Pending(pending) => self.finish(pending, started),
+            Progress::Pending(pending) => self.finish(pending),
             Progress::Unsent => unreachable!("an exchange without a hedge point always sends"),
         }
     }
@@ -620,13 +594,11 @@ impl ConnectionPool {
         request: &ShardRequest,
         hedge: Duration,
     ) -> Result<Exchanged, WireError> {
-        let started = Instant::now();
         Ok(
-            match self.exchange_until(request, Some(started + hedge), started)? {
+            match self.exchange_until(request, Some(Instant::now() + hedge))? {
                 Progress::Answered(response) => Exchanged::Answer(response),
                 Progress::Pending(pending) => Exchanged::Late(Late {
                     pool: Arc::clone(self),
-                    started,
                     pending,
                 }),
                 Progress::Unsent => Exchanged::Unsent,
@@ -634,22 +606,17 @@ impl ConnectionPool {
         )
     }
 
-    /// Both exchanges' shared body: climbs the [`ladder`](Self::ladder),
-    /// counts the checkout unless nothing was sent, and records the
-    /// latency of an answer.
+    /// Both exchanges' shared body: climbs the [`ladder`](Self::ladder)
+    /// and counts the checkout unless nothing was sent.
     fn exchange_until(
         &self,
         request: &ShardRequest,
         hedge_at: Option<Instant>,
-        started: Instant,
     ) -> Result<Progress, WireError> {
         let progress = self.ladder(request, hedge_at);
-        match progress {
-            Ok(Progress::Unsent) => return progress,
-            Ok(Progress::Answered(_)) => self.record_latency(started),
-            _ => {}
+        if !matches!(progress, Ok(Progress::Unsent)) {
+            self.counters.checkouts.fetch_add(1, Ordering::Relaxed);
         }
-        self.counters.checkouts.fetch_add(1, Ordering::Relaxed);
         progress
     }
 
@@ -714,10 +681,10 @@ impl ConnectionPool {
         self.exchange_on(conn, false, request, hedge_at)
     }
 
-    /// Reads a late exchange's answer with its full budget, then counts,
-    /// records and checks in exactly as an answered exchange does.
-    fn finish(&self, pending: Pending, started: Instant) -> Result<ShardResponse, WireError> {
-        let response = match pending {
+    /// Reads a late exchange's answer with its full budget, then counts
+    /// and checks in exactly as an answered exchange does.
+    fn finish(&self, pending: Pending) -> Result<ShardResponse, WireError> {
+        match pending {
             Pending::Conn {
                 conn,
                 reused,
@@ -744,18 +711,7 @@ impl ConnectionPool {
                     Err(error)
                 }
             },
-        };
-        if response.is_ok() {
-            self.record_latency(started);
         }
-        response
-    }
-
-    /// Only clean exchanges feed the latency histogram: failures are the
-    /// breaker's signal, not a latency sample, and a timeout would drag
-    /// the p95 toward the very budget it is meant to derive.
-    fn record_latency(&self, started: Instant) {
-        self.counters.exchange_latency.record(started.elapsed());
     }
 
     /// Sends several requests as **one** coalesced burst over one pooled
@@ -766,19 +722,6 @@ impl ConnectionPool {
     /// a burst that fails on a reused connection is retried once over a
     /// fresh dial (evaluations are idempotent).
     pub fn exchange_burst(
-        &self,
-        requests: &[ShardRequest],
-    ) -> Result<Vec<ShardResponse>, WireError> {
-        let started = Instant::now();
-        let responses = self.exchange_burst_unrecorded(requests);
-        if responses.is_ok() && requests.len() > 1 {
-            // Bursts of one were recorded by the `exchange` they became.
-            self.record_latency(started);
-        }
-        responses
-    }
-
-    fn exchange_burst_unrecorded(
         &self,
         requests: &[ShardRequest],
     ) -> Result<Vec<ShardResponse>, WireError> {

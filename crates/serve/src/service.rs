@@ -2,7 +2,10 @@
 //! per-backend sharded worker pools.
 //!
 //! ```text
-//! submit() ──► priority queues ──► batcher thread ──► report cache
+//! submit() ──► report cache probe ── hit: answered on the submitting thread
+//!                     │ miss
+//!                     ▼
+//!              priority queues ──► batcher thread ──► report cache
 //!                                                      │ hit: answer now
 //!                                                      │ in-flight: merge
 //!                                                      ▼ miss: schedule
@@ -10,6 +13,14 @@
 //!                                  ┌────────┴─────────┐
 //!                              workers (backend 0) ... workers (backend N)
 //! ```
+//!
+//! The cache is probed twice.  At submission, one read-only transaction
+//! over the whole burst answers every cached `(spec, backend)` slot on
+//! the submitting thread, so a request whose every slot hits never waits
+//! for the batcher, never queues and is never refused or shed.  At
+//! dispatch the batcher probes again for the members that missed,
+//! reserving vacant keys and merging onto in-flight ones (a key may have
+//! completed in between).
 //!
 //! Each worker thread owns a handle to exactly one backend and serves only
 //! that backend's queue, so backends are isolated shards: a slow or
@@ -326,6 +337,8 @@ impl EvalService {
     /// [`EvalResponse`] with one entry per selected backend.  A single
     /// submit is a one-spec burst, except that it does *not* flush the
     /// micro-batcher: streamed submits coalesce under the batch deadline.
+    /// A request whose every backend answer is cached resolves before
+    /// `submit` returns, without waiting for that deadline.
     pub fn submit(&self, request: EvalRequest) -> ResponseHandle {
         self.submit_burst(
             vec![request.spec],
@@ -344,8 +357,9 @@ impl EvalService {
     /// and one queue transaction instead of `n` of each, so clients with
     /// ready-made scenario sets (every table binary, bulk sweep producers)
     /// should prefer this over `n` single submits.  The micro-batcher and
-    /// the report cache still see per-spec granularity: members are batched,
-    /// deduplicated and sharded individually.  Because the caller already
+    /// the report cache still see per-spec granularity: cached members are
+    /// answered at submission, the rest are batched, deduplicated and
+    /// sharded individually.  Because the caller already
     /// coalesced its specs, a burst also *flushes* the batcher: once the
     /// queue drains, dispatch happens immediately instead of waiting out
     /// [`ServiceConfig::batch_deadline`] for stragglers — a lone synchronous
@@ -361,11 +375,12 @@ impl EvalService {
 
     /// [`submit_batch`](Self::submit_batch) for callers that must not park
     /// a thread per request: instead of a [`ResponseHandle`], `on_done` is
-    /// invoked exactly once with the response, on whichever worker thread
-    /// completes the last slot.  This is the reactor front end's submit
-    /// path — its completion callback enqueues the finished response and
-    /// wakes the event loop, so hundreds of in-flight requests cost no
-    /// blocked threads.
+    /// invoked exactly once with the response, on whichever thread fills
+    /// the last slot: a worker, or — when every slot is a cache hit — the
+    /// calling thread itself, before this returns.  This is the reactor
+    /// front end's submit path — its completion callback enqueues the
+    /// finished response and wakes the event loop, so hundreds of
+    /// in-flight requests cost no blocked threads.
     pub fn submit_batch_callback(
         &self,
         specs: Vec<WorkloadSpec>,
@@ -434,47 +449,71 @@ impl EvalService {
             priority,
             shed: AtomicBool::new(false),
         });
-        let mut items = Vec::with_capacity(specs.len());
-        for (index, spec) in specs.into_iter().enumerate() {
-            let base = index * selection.len();
-            let mut targets = Vec::with_capacity(selection.len());
-            for (offset, resolved) in selection.iter().enumerate() {
-                match resolved {
-                    Ok(backend) => targets.push((base + offset, *backend)),
-                    Err(name) => fulfill(
-                        inner,
-                        &state,
-                        base + offset,
-                        Arc::from(name.as_str()),
-                        Arc::new(Err(EvalError::Unsupported {
-                            backend: name.clone(),
-                            workload: spec.name(),
-                        })),
-                    ),
+        // Slots answered without a backend: cache hits and unknown
+        // backends.  They are filled last, once no lock is held, so a
+        // response never resolves under the cache or the queue lock.
+        let mut ready: Vec<(usize, Arc<str>, CachedResult)> = Vec::new();
+        let mut items = Vec::new();
+        let mut hits = 0u64;
+        {
+            // One cache transaction probes the whole burst before anything
+            // is queued: a hit is answered on this thread and never waits
+            // for the batcher.  Only members with a slot left to fill are
+            // queued; the batcher still reserves or merges their keys (one
+            // may complete between this probe and dispatch).
+            let mut txn = inner.cache.begin();
+            for (index, spec) in specs.into_iter().enumerate() {
+                let base = index * selection.len();
+                let mut targets = Vec::new();
+                for (offset, resolved) in selection.iter().enumerate() {
+                    let slot = base + offset;
+                    match resolved {
+                        Ok(backend) => match txn.peek(*backend, &spec) {
+                            Some(hit) => {
+                                hits += 1;
+                                ready.push((slot, Arc::clone(&inner.name_refs[*backend]), hit));
+                            }
+                            None => targets.push((slot, *backend)),
+                        },
+                        Err(name) => ready.push((
+                            slot,
+                            Arc::from(name.as_str()),
+                            Arc::new(Err(EvalError::Unsupported {
+                                backend: name.clone(),
+                                workload: spec.name(),
+                            })),
+                        )),
+                    }
+                }
+                if !targets.is_empty() {
+                    items.push(QueuedItem {
+                        // The one Arc allocation per queued (spec, request);
+                        // everything downstream (cache keys, work tasks)
+                        // shares it.
+                        spec: Arc::new(spec),
+                        targets,
+                        state: Arc::clone(&state),
+                        enqueued_at,
+                        priority,
+                    });
                 }
             }
-            if !targets.is_empty() {
-                items.push(QueuedItem {
-                    // The one Arc allocation per (spec, request); everything
-                    // downstream (cache keys, work tasks) shares it.
-                    spec: Arc::new(spec),
-                    targets,
-                    state: Arc::clone(&state),
-                    enqueued_at,
-                    priority,
-                });
-            }
         }
+        inner.counters.cache_hits.fetch_add(hits, Ordering::Relaxed);
         if !items.is_empty() {
-            // One queue transaction for the whole burst.
+            // One queue transaction for the whole burst's misses, queued
+            // before the hits are filled so the batcher starts on them
+            // while this thread answers the rest.
             let mut pending = inner.pending.lock().expect("pending lock");
             // The admission gate: under an open-loop overload (arrivals
             // that do not slow down when responses lag) the pending queues
-            // are the unbounded buffer — refuse the whole burst once they
-            // are at capacity, bounding queue memory and answering the
-            // excess immediately instead of after a hopeless wait.
-            if let Some(capacity) = inner.config.queue_capacity {
-                if pending.len() + items.len() > capacity {
+            // are the unbounded buffer — refuse the burst's queued members
+            // once they are at capacity, bounding queue memory and
+            // answering the excess immediately instead of after a hopeless
+            // wait.  Hits never enter the queues, so they are never
+            // refused.
+            match inner.config.queue_capacity {
+                Some(capacity) if pending.len() + items.len() > capacity => {
                     drop(pending);
                     inner.counters.classes[priority.index()]
                         .shed_queue
@@ -485,23 +524,25 @@ impl EvalService {
                         reason: format!("pending queues at capacity ({capacity})"),
                     }));
                     for item in items {
-                        for &(slot, backend) in &item.targets {
-                            fulfill(
-                                inner,
-                                &item.state,
+                        for (slot, backend) in item.targets {
+                            ready.push((
                                 slot,
                                 Arc::clone(&inner.name_refs[backend]),
                                 Arc::clone(&error),
-                            );
+                            ));
                         }
                     }
-                    return;
+                }
+                _ => {
+                    pending.queues[priority.index()].extend(items);
+                    pending.flush |= flush;
+                    drop(pending);
+                    inner.pending_cv.notify_all();
                 }
             }
-            pending.queues[priority.index()].extend(items);
-            pending.flush |= flush;
-            drop(pending);
-            inner.pending_cv.notify_all();
+        }
+        for (slot, name, result) in ready {
+            fulfill(inner, &state, slot, name, result);
         }
     }
 
@@ -528,6 +569,7 @@ impl EvalService {
     ) -> Option<Vec<CachedResult>> {
         let inner = &*self.inner;
         let backend_idx = inner.names.iter().position(|n| n == backend)?;
+        let started = Instant::now();
         inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
         if specs.is_empty() {
             inner.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -624,6 +666,11 @@ impl EvalService {
             }
         }
         inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+        // A burst answered here is a shard request like those the front
+        // ends submit, so its sojourn joins the class they submit at.
+        inner.counters.classes[Priority::Normal.index()]
+            .latency
+            .record(started.elapsed());
         Some(
             results
                 .into_iter()
@@ -855,8 +902,9 @@ fn shed_aged(inner: &ServiceInner, item: QueuedItem, age: std::time::Duration) {
     }
 }
 
-/// Runs one batch through the report cache: hits answer immediately,
-/// in-flight keys merge, misses become sharded work tasks.
+/// Runs one batch through the report cache: hits (keys that completed
+/// after their member missed at submission) answer immediately, in-flight
+/// keys merge, misses become sharded work tasks.
 fn dispatch(
     inner: &ServiceInner,
     senders: &[mpsc::SyncSender<Vec<WorkTask>>],
@@ -1816,5 +1864,130 @@ mod tests {
             stats.class(Priority::Normal).expect("normal").latency.count,
             0
         );
+    }
+
+    /// One `alpha` shard behind a batcher that would hold a streamed
+    /// request for 10 s: anything answered sooner never waited for it.
+    fn slow_batcher_service(config: ServiceConfig) -> EvalService {
+        EvalService::with_config(
+            Evaluator::empty().with_backend(Box::new(SquareOnly { name: "alpha" })),
+            ServiceConfig {
+                batch_deadline: Duration::from_secs(10),
+                ..config
+            },
+        )
+    }
+
+    #[test]
+    fn streamed_cached_submit_answers_without_the_batcher() {
+        let service = slow_batcher_service(ServiceConfig::default());
+        let spec = WorkloadSpec::SquareGemm { n: 48 };
+        // A burst flushes the batcher, so this miss answers promptly.
+        let warm = service.evaluate(&spec);
+        let before = service.stats();
+        let response = service
+            .submit(EvalRequest::all(spec))
+            .wait_timeout(Duration::from_millis(100))
+            .expect("a cached spec answers without waiting out the batch deadline");
+        assert_eq!(response.results.len(), 1);
+        assert_eq!(*response.results[0].1, warm[0]);
+        let after = service.stats();
+        assert_eq!(after.batches, before.batches, "the batcher never saw it");
+        assert_eq!(after.batched_requests, before.batched_requests);
+        assert_eq!(after.cache_hits, before.cache_hits + 1);
+        assert_eq!(after.completed, before.completed + 1);
+        // Answered hits are served requests: their sojourn is recorded.
+        let normal = after.class(Priority::Normal).expect("normal class");
+        assert_eq!(normal.latency.count, 2);
+    }
+
+    #[test]
+    fn hits_are_answered_while_the_queue_refuses_misses() {
+        // Capacity zero: the pending queues are always full.
+        let service = slow_batcher_service(ServiceConfig {
+            queue_capacity: Some(0),
+            ..ServiceConfig::default()
+        });
+        let cached = WorkloadSpec::SquareGemm { n: 3 };
+        let fresh = WorkloadSpec::SquareGemm { n: 5 };
+        // The inline path fills the cache without touching the queues.
+        service
+            .evaluate_batch_inline("alpha", vec![cached.clone()])
+            .expect("alpha is registered");
+        let hit = service
+            .submit_batch(vec![cached.clone()], BackendSelector::All, Priority::Normal)
+            .wait_timeout(Duration::from_millis(100))
+            .expect("a hit burst is answered at once");
+        assert!(hit.results[0].1.is_ok(), "a hit is never refused");
+        let miss = service
+            .submit_batch(vec![fresh.clone()], BackendSelector::All, Priority::Normal)
+            .wait();
+        assert!(matches!(
+            *miss.results[0].1,
+            Err(EvalError::Overloaded { .. })
+        ));
+        // A mixed burst: its hit slot is filled, its miss slot refused —
+        // no slot is left stranded.
+        let mixed = service
+            .submit_batch(vec![fresh, cached], BackendSelector::All, Priority::Normal)
+            .wait_timeout(Duration::from_millis(100))
+            .expect("a refused burst is answered whole");
+        assert!(matches!(
+            *mixed.results[0].1,
+            Err(EvalError::Overloaded { .. })
+        ));
+        assert!(mixed.results[1].1.is_ok());
+        let stats = service.stats();
+        assert_eq!(stats.completed, 4);
+        assert_eq!(stats.cache_hits, 2);
+        let normal = stats.class(Priority::Normal).expect("normal");
+        assert_eq!(normal.shed_queue, 2, "only the two misses were refused");
+        assert_eq!(stats.evaluations, 1, "only the inline warm-up evaluated");
+    }
+
+    #[test]
+    fn hits_are_never_shed() {
+        // A zero budget sheds every Low member that reaches dispatch.
+        let service = slow_batcher_service(ServiceConfig {
+            class_budgets: [None, None, Some(Duration::ZERO)],
+            ..ServiceConfig::default()
+        });
+        let spec = WorkloadSpec::SquareGemm { n: 7 };
+        assert!(service.evaluate(&spec)[0].is_ok());
+        let response = service
+            .submit(EvalRequest::all(spec).with_priority(Priority::Low))
+            .wait_timeout(Duration::from_millis(100))
+            .expect("a Low hit is answered at submission");
+        assert!(response.results[0].1.is_ok(), "a hit is never shed");
+        let stats = service.stats();
+        let low = stats.class(Priority::Low).expect("low");
+        assert_eq!(low.shed(), 0);
+        assert_eq!(low.latency.count, 1);
+    }
+
+    #[test]
+    fn all_hit_callback_fires_once_before_submit_returns() {
+        let service = slow_batcher_service(ServiceConfig::default());
+        let specs = vec![
+            WorkloadSpec::SquareGemm { n: 11 },
+            WorkloadSpec::SquareGemm { n: 13 },
+        ];
+        service
+            .submit_batch(specs.clone(), BackendSelector::All, Priority::Normal)
+            .wait();
+        let batches = service.stats().batches;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        service.submit_batch_callback(specs, BackendSelector::All, Priority::Normal, move |r| {
+            assert_eq!(r.results.len(), 2);
+            assert!(r.results.iter().all(|(_, result)| result.is_ok()));
+            seen.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "fired before returning");
+        assert_eq!(service.stats().batches, batches);
+        // Dropping the service joins the batcher and every worker, so no
+        // later fire can still be pending.
+        drop(service);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "fired exactly once");
     }
 }

@@ -447,9 +447,11 @@ pub struct ServiceStats {
     /// Micro-batches dispatched.
     pub batches: u64,
     /// Requests carried by those batches (`batched_requests / batches` is
-    /// the achieved mean batch size).
+    /// the achieved mean batch size).  Only members that missed the cache
+    /// at submission are batched; hits are answered before queueing.
     pub batched_requests: u64,
-    /// Backend-slot lookups answered from a completed cache entry.
+    /// Backend-slot lookups answered from a completed cache entry, at
+    /// submission or at dispatch.
     pub cache_hits: u64,
     /// Backend-slot lookups that scheduled a fresh evaluation.
     pub cache_misses: u64,

@@ -58,7 +58,7 @@
 //!   to a replica by rendezvous hash of the workload spec (cache
 //!   locality), fail over to a sibling on transport errors, and — when a
 //!   reply outlives the group's hedge budget (`hedge_budget_us`, default:
-//!   derived from the pool's observed p95) — are hedged against a second
+//!   derived from the replica's observed p95) — are hedged against a second
 //!   replica, first answer wins.  `breaker` tunes the per-replica circuit
 //!   breaker ([`BreakerConfig`]; missing fields default).
 //!
@@ -141,10 +141,9 @@ pub struct ReplicaGroupDecl {
     pub shards: Vec<String>,
     /// Hedge budget in microseconds: how long the primary replica's
     /// exchange may run before a hedge is launched against a sibling.
-    /// `None` derives the budget from the primary pool's observed p95
-    /// exchange latency
-    /// ([`ConnectionPool::observed_exchange_p95`](crate::ConnectionPool::observed_exchange_p95)),
-    /// hedging nothing until enough samples exist.
+    /// `None` derives the budget from the observed p95 of this group's
+    /// exchanges on the primary replica, hedging nothing until enough
+    /// samples exist.
     pub hedge_budget_us: Option<u64>,
     /// Circuit-breaker tuning for the group's replicas; `None` uses
     /// [`BreakerConfig::default`].

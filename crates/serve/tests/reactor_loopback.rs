@@ -17,8 +17,8 @@
 //!   [`EvalError::Transport`] errors, never hangs.
 
 use rsn_eval::{Backend, CharmBackend, EvalError, Evaluator, WorkloadSpec, XnnAnalyticBackend};
-use rsn_serve::json::grid_json;
-use rsn_serve::remote::ShardServer;
+use rsn_serve::json::{grid_json, result_json};
+use rsn_serve::remote::{RemoteBackend, ShardServer};
 use rsn_serve::wire::{
     decode_response_payload, write_request_frame, FrameBuffer, ShardRequest, ShardResponse,
     PROTOCOL_VERSION,
@@ -195,6 +195,30 @@ fn reactor_grid_is_byte_identical_to_in_process() {
         pool.dict_defines > 2 && pool.dict_hits > 0,
         "the mux must carry symbol dictionaries in both directions: {pool:?}"
     );
+}
+
+#[test]
+fn a_repeated_spec_is_answered_from_the_shards_cache_byte_identically() {
+    // The repeat is a cache hit at submission, so the reactor's completion
+    // callback runs on the reactor thread itself, before the submit
+    // returns; the answer must still leave on the wire unchanged.
+    let server = reactor_server(paper_backends(), 1);
+    let backend = RemoteBackend::named(&server.local_addr().to_string(), "rsn-xnn");
+    let spec = WorkloadSpec::SquareGemm { n: 1536 };
+    let reference = result_json(&XnnAnalyticBackend::new().evaluate(&spec)).to_pretty();
+    let first = result_json(&backend.evaluate(&spec)).to_pretty();
+    let hits_before = server.stats().cache_hits;
+    let repeat = result_json(&backend.evaluate(&spec)).to_pretty();
+    assert_eq!(first, reference, "a miss is byte-identical to in-process");
+    assert_eq!(repeat, reference, "a hit is byte-identical to in-process");
+    let stats = server.stats();
+    assert_eq!(
+        stats.cache_hits,
+        hits_before + 1,
+        "the repeat hit: {stats:?}"
+    );
+    assert_eq!(stats.evaluations, 1);
+    assert_eq!(stats.completed, 2);
 }
 
 #[test]

@@ -484,6 +484,35 @@ fn shm_ring_negotiates_on_loopback_kills_promptly_and_unlinks_segments() {
 }
 
 #[test]
+fn ring_exchanges_land_in_the_shards_latency_histogram() {
+    // A ring connection is answered inline on the shard's serving thread,
+    // not through its queues; its sojourns must still be recorded.
+    let server = ShardServer::bind(
+        "127.0.0.1:0",
+        EvalService::new(Evaluator::empty().with_backend(Box::new(XnnAnalyticBackend::new()))),
+    )
+    .expect("bind loopback shard");
+    let backend = RemoteBackend::named(&server.local_addr().to_string(), "rsn-xnn");
+    let exchanges = 20u64;
+    for n in 0..exchanges {
+        let spec = WorkloadSpec::SquareGemm {
+            n: 512 + n as usize,
+        };
+        assert!(backend.evaluate(&spec).is_ok());
+    }
+    let pool = backend.pool().stats();
+    // The hello may ride the ring too.
+    assert!(
+        pool.ring_exchanges >= exchanges,
+        "every evaluation must cross the ring: {pool:?}"
+    );
+    let stats = server.stats();
+    assert_eq!(stats.completed, exchanges);
+    let normal = stats.class(Priority::Normal).expect("normal class");
+    assert_eq!(normal.latency.count, exchanges);
+}
+
+#[test]
 fn socket_transport_policy_declines_the_ring_and_stays_byte_identical() {
     let server = ShardServer::bind("127.0.0.1:0", EvalService::new(paper_backends()))
         .expect("bind loopback shard");

@@ -28,7 +28,8 @@ fn loopback_shard() -> ShardServer {
 }
 
 /// A fleet over `shards` with one replica group per backend; `hedge_budget_us`
-/// `None` derives the budget from each primary pool's observed p95.
+/// `None` derives each group's budget from the observed p95 of its own
+/// exchanges on the primary replica.
 fn fleet(shards: &[ShardServer], hedge_budget_us: Option<u64>) -> EvalService {
     let addrs: Vec<String> = shards.iter().map(|s| s.local_addr().to_string()).collect();
     let members: Vec<&str> = addrs.iter().map(String::as_str).collect();
@@ -86,8 +87,9 @@ fn assert_grid_matches_in_process(service: &EvalService) {
 fn fleet_answers_like_in_process_with_a_derived_hedge_budget() {
     let shards = [loopback_shard(), loopback_shard()];
     let service = fleet(&shards, None);
-    // Enough distinct exchanges for both pools to derive a p95 budget, so
-    // the grid below runs on the hedged path, answering in time.
+    // Enough distinct exchanges (about 24 per replica of each group) for
+    // every replica to derive a p95 budget, so the grid below runs on the
+    // hedged path, answering in time.
     for n in 1..=48 {
         let spec = WorkloadSpec::SquareGemm { n: 64 * n };
         assert!(service.evaluate(&spec)[0].is_ok(), "warm-up {n}");
